@@ -129,9 +129,16 @@ func run(args []string, out io.Writer) error {
 	if base == nil {
 		return nil
 	}
-	diff := scenario.Compare(base, rep, scenario.DiffOptions{Tolerance: *tolerance, FloorMS: *floorMS})
+	return gate(out, base, rep, scenario.DiffOptions{Tolerance: *tolerance, FloorMS: *floorMS}, *strict)
+}
+
+// gate prints the diff of a fresh report against the baseline and decides
+// the exit status: errRegression when a cell regressed and the two reports
+// come from comparable environments (or strict is set).
+func gate(out io.Writer, base, rep *scenario.Report, opts scenario.DiffOptions, strict bool) error {
+	diff := scenario.Compare(base, rep, opts)
 	fmt.Fprint(out, diff.Render())
-	if !base.Env.Comparable(rep.Env) && !*strict {
+	if !base.Env.Comparable(rep.Env) && !strict {
 		// Relative tolerance absorbs noise on one machine, not the speed gap
 		// between machines: gating a runner against a laptop baseline would
 		// measure the environment, not the change.  The gate arms itself once

@@ -72,6 +72,10 @@ import (
 	"netdiversity/internal/serve"
 	"netdiversity/internal/vulnsim"
 	"netdiversity/internal/wal"
+
+	// Sessions name their solver ("solver":"multilevel"); core links the flat
+	// kernels itself, the multilevel kernel registers from here.
+	_ "netdiversity/internal/multilevel"
 )
 
 func main() {

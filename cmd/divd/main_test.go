@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -163,6 +164,47 @@ func TestDaemonRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || assess.MTTC <= 0 {
 		t.Fatalf("assess: status %d mttc %f", resp.StatusCode, assess.MTTC)
+	}
+}
+
+// TestDaemonMultilevelSession creates a session on the multilevel solver —
+// which the daemon binary has to link for the name to resolve — and checks
+// that a delta on it is re-solved incrementally.
+func TestDaemonMultilevelSession(t *testing.T) {
+	base, shutdown := startDaemon(t)
+	defer shutdown()
+
+	spec, err := os.ReadFile(specFile(t, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"id":"ml","spec":%s,"solver":"multilevel","seed":5}`, spec)
+	resp, err := http.Post(base+"/v1/networks", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with solver multilevel: status %d body %s", resp.StatusCode, raw)
+	}
+
+	resp, err = http.Post(base+"/v1/networks/ml/deltas", "application/json",
+		strings.NewReader(`{"ops":[{"op":"remove_edge","a":"h4","b":"h5"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dres struct {
+		Version     uint64 `json:"version"`
+		Incremental bool   `json:"incremental"`
+		DirtyNodes  int    `json:"dirty_nodes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&dres); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || dres.Version != 2 || !dres.Incremental || dres.DirtyNodes == 0 {
+		t.Fatalf("delta: status %d response %+v", resp.StatusCode, dres)
 	}
 }
 

@@ -50,6 +50,10 @@ import (
 	"time"
 
 	"netdiversity/internal/slam"
+
+	// -solver multilevel: the in-process server resolves the name through the
+	// solve registry, which only holds the kernels the binary links.
+	_ "netdiversity/internal/multilevel"
 )
 
 func main() {

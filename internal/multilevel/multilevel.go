@@ -8,6 +8,15 @@
 // a local best response are re-solved, so each refinement costs O(dirty)
 // instead of O(nodes).
 //
+// The hierarchy is a cold-solve device only.  An incremental re-solve
+// (solve.Options.DirtyMask + InitialLabels, i.e. core.Reoptimize after a
+// delta) already has what the hierarchy exists to produce — a good fine
+// labeling — so WarmStart skips coarsening altogether and hands the fine
+// graph, the prior labeling and the dirty mask to the kernel refineDown uses
+// for level 0 (trws up to TRWSEdgeLimit edges, the icm worklist above it).
+// Every further Step forwards to that kernel: a multilevel tenant's delta
+// runs the code a flat tenant's delta runs, and costs what it dirtied.
+//
 // The kernel registers as "multilevel" and runs under the standard solve
 // driver: the hierarchy build, the coarsest solve and each per-level
 // refinement are individual driver steps, so context cancellation and the
@@ -103,6 +112,9 @@ type Kernel struct {
 	phase  int
 	stats  Stats
 	failed error
+	// warm is the flat kernel a warm re-solve forwards to (see WarmStart);
+	// nil on the cold path.
+	warm solve.WarmKernel
 }
 
 const (
@@ -114,8 +126,13 @@ const (
 
 // Defaults floors the iteration budget so the driver's step cap can never
 // truncate the hierarchy walk: the kernel needs one step for the build, one
-// for the coarsest solve and one per projection level.
+// for the coarsest solve and one per projection level.  A warm re-solve walks
+// no hierarchy — its steps are the inner kernel's sweeps — so the caller's
+// budget stands.
 func (k *Kernel) Defaults(o solve.Options) solve.Options {
+	if o.DirtyMask != nil {
+		return o
+	}
 	maxLevels := k.Coarsen.MaxLevels
 	if maxLevels <= 0 {
 		maxLevels = 24 // coarsen.Options default
@@ -157,14 +174,45 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 	k.phase = phaseBuild
 	k.stats = Stats{}
 	k.failed = nil
+	k.warm = nil
 	return nil
 }
 
-// Step implements solve.Kernel: one hierarchy phase per driver step.
-// Intermediate steps return nil Labels — scoring a partial labeling of a
+// WarmStart implements solve.WarmKernel by delegation: the level-0 refine
+// kernel is initialised on the fine graph and warm-started with the prior
+// labeling and the dirty mask, and Step forwards to it from then on.  The
+// outer driver keeps owning best-tracking, patience, Checkpoint and the sweep
+// count, so no hierarchy is built (Stats stays zero) and Solution.Iterations
+// is the number of sweeps actually run.
+func (k *Kernel) WarmStart(labels []int, dirty []bool) error {
+	name := k.refineSolver(k.g)
+	kern, err := solve.New(name)
+	if err != nil {
+		return err
+	}
+	warm, ok := kern.(solve.WarmKernel)
+	if !ok {
+		return fmt.Errorf("multilevel: refine solver %q cannot warm-start", name)
+	}
+	if err := warm.Init(k.g, k.opts); err != nil {
+		return err
+	}
+	if err := warm.WarmStart(labels, dirty); err != nil {
+		return err
+	}
+	k.warm = warm
+	return nil
+}
+
+// Step implements solve.Kernel.  Cold: one hierarchy phase per driver step;
+// intermediate steps return nil Labels — scoring a partial labeling of a
 // coarse level against the fine graph is meaningless — and the final step
-// returns the fully refined fine labeling with FixedPoint set.
+// returns the fully refined fine labeling with FixedPoint set.  Warm: one
+// sweep of the inner kernel.
 func (k *Kernel) Step() solve.Step {
+	if k.warm != nil {
+		return k.warm.Step()
+	}
 	switch k.phase {
 	case phaseBuild:
 		start := time.Now()
@@ -295,10 +343,9 @@ func (k *Kernel) refineSolver(g *mrf.Graph) string {
 // Stats returns the metrics of the last solve.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// Err returns the internal failure that aborted the last solve, if any.
-// The solve driver treats an aborted kernel as exhausted and returns its
-// baseline labeling without an error; callers that need to distinguish the
-// two ask the kernel.
+// Err returns the internal failure that aborted the last solve, if any.  The
+// kernel reports an aborted solve to the driver as Exhausted; solve.Run reads
+// Err after its loop and returns the failure to the caller.
 func (k *Kernel) Err() error { return k.failed }
 
 // localDirty marks every node whose label is not a local best response given
@@ -344,9 +391,6 @@ func localDirty(g *mrf.Graph, labels []int, tol float64) ([]bool, int) {
 // defaults; the receiver is reusable across calls.
 func (k *Kernel) SolveWithStats(ctx context.Context, g *mrf.Graph, opts solve.Options) (mrf.Solution, Stats, error) {
 	sol, err := solve.Run(ctx, g, opts, k)
-	if err == nil && k.failed != nil {
-		err = k.failed
-	}
 	return sol, k.Stats(), err
 }
 

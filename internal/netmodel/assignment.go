@@ -3,7 +3,7 @@ package netmodel
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -57,7 +57,7 @@ func (a *Assignment) Hosts() []HostID {
 	for h := range a.products {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -95,23 +95,52 @@ func (a *Assignment) RemoveHost(h HostID) { delete(a.products, h) }
 // fingerprint the serving API exposes as assignment_hash and the integrity
 // check the WAL journals with every record: recovery recomputes it over the
 // replayed state and compares against the value journaled at write time.
+//
+// The byte stream hashed is "host NUL service NUL product LF" per triple and
+// the result is the 64-bit sum as 16 lower-case hex digits.  Journaled
+// records and peer nodes hold values of this exact function, so it is frozen:
+// a golden test compares it against the original fmt/hash/fnv formulation.
+// It runs on the ack path of every delta, hence the inlined FNV loop and the
+// stack buffer for a host's services.
 func (a *Assignment) Hash() string {
 	if a == nil {
 		return ""
 	}
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
+	var buf [8]ServiceID
 	for _, host := range a.Hosts() {
 		m := a.products[host]
-		services := make([]ServiceID, 0, len(m))
+		services := buf[:0]
 		for s := range m {
 			services = append(services, s)
 		}
-		sort.Slice(services, func(i, j int) bool { return services[i] < services[j] })
+		slices.Sort(services)
 		for _, svc := range services {
-			fmt.Fprintf(h, "%s\x00%s\x00%s\n", host, svc, m[svc])
+			h = fnvString(h, string(host)) * fnvPrime64 // NUL: xor with 0 is a no-op
+			h = fnvString(h, string(svc)) * fnvPrime64
+			h = (fnvString(h, string(m[svc])) ^ '\n') * fnvPrime64
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	const digits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(out[:])
+}
+
+// FNV-1a, 64 bit (hash/fnv's New64a without the io.Writer boxing).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 // DiffHosts compares the assignment against a previous one, returning the
@@ -154,6 +183,29 @@ func (a *Assignment) DiffHosts(prev *Assignment) (changed map[HostID]map[Service
 	}
 	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
 	return changed, removed
+}
+
+// ChangedHosts counts the hosts of a that joined or switched a product
+// relative to prev: hosts with at least one (service, product) pair prev does
+// not hold (all of them when prev is nil).  A host that only dropped
+// services, or left altogether, is not counted.  It is the changed_hosts
+// figure of a delta ack, taken in one walk over the two assignments without
+// copying either.
+func (a *Assignment) ChangedHosts(prev *Assignment) int {
+	changed := 0
+	for h, m := range a.products {
+		var pm map[ServiceID]ProductID
+		if prev != nil {
+			pm = prev.products[h]
+		}
+		for s, p := range m {
+			if was, ok := pm[s]; !ok || was != p {
+				changed++
+				break
+			}
+		}
+	}
+	return changed
 }
 
 // ApplyPatch applies a DiffHosts result in place: removed hosts are dropped,

@@ -174,6 +174,28 @@ func (s *Server) loadSession(w http.ResponseWriter, r *http.Request, needSnap bo
 	return sess, snap, true
 }
 
+// lockLive acquires the writer slot of the live session behind sess's ID.  A
+// replica full sync closes the incarnation a request looked up and swaps its
+// successor into the store (ReplicaCreate); a read that was queued on the old
+// slot follows the swap instead of reporting a session that still exists as
+// deleted.  A session closed with nothing in its place is errSessionClosed.
+func (s *Server) lockLive(ctx context.Context, sess *session) (*session, error) {
+	for {
+		if err := sess.lock(ctx); err != nil {
+			return nil, err
+		}
+		if !sess.closed {
+			return sess, nil
+		}
+		sess.unlock()
+		next, ok := s.store.get(sess.id)
+		if !ok || next == sess {
+			return nil, errSessionClosed
+		}
+		sess = next
+	}
+}
+
 // handleCreate implements POST /v1/networks: build the network from the
 // spec, run the initial solve through the global pool and publish the first
 // snapshot.  The session is inserted before solving so the ID is reserved
@@ -442,16 +464,7 @@ func changedHosts(prev *snapshot, cur *netmodel.Assignment) int {
 	if prev == nil || prev.assignment == nil {
 		return 0
 	}
-	changed := 0
-	for _, h := range cur.Hosts() {
-		for svc, p := range cur.HostAssignment(h) {
-			if was, ok := prev.assignment.Get(h, svc); !ok || was != p {
-				changed++ // joined (no prior product) or switched product
-				break
-			}
-		}
-	}
-	return changed
+	return cur.ChangedHosts(prev.assignment)
 }
 
 // handleAssignment implements GET /v1/networks/{id}/assignment straight from
@@ -504,15 +517,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	if err := sess.lock(ctx); err != nil {
+	sess, err := s.lockLive(ctx, sess)
+	if err != nil {
 		s.writeFailure(w, err)
 		return
 	}
 	resp, err := func() (MetricsResponse, error) {
 		defer sess.unlock()
-		if sess.closed {
-			return MetricsResponse{}, errSessionClosed
-		}
 		if err := s.healPending(ctx, sess); err != nil {
 			return MetricsResponse{}, err
 		}
@@ -665,22 +676,20 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("runs %d exceeds the server cap %d", runs, s.cfg.MaxAssessRuns))
 		return
 	}
+
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
+	sess, err = s.lockLive(ctx, sess)
+	if err != nil {
+		s.writeFailure(w, err)
+		return
+	}
 	seed := sess.seed
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if err := sess.lock(ctx); err != nil {
-		s.writeFailure(w, err)
-		return
-	}
 	campaign, version, err := func() (*attacksim.Campaign, uint64, error) {
 		defer sess.unlock()
-		if sess.closed {
-			return nil, 0, errSessionClosed
-		}
 		if err := s.healPending(ctx, sess); err != nil {
 			return nil, 0, err
 		}

@@ -123,11 +123,6 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("serve: replica snapshot %s: %w", snap.ID, err)
 	}
-	// Full sync replaces whatever incarnation is live: close it under its
-	// writer slot exactly like DELETE, so in-flight work observes closed.
-	if err := s.ReplicaDelete(snap.ID); err != nil {
-		return err
-	}
 	sess := &session{
 		id:      snap.ID,
 		solver:  snap.Solver,
@@ -140,21 +135,8 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 		maxIter: snap.MaxIterations,
 	}
 	sess.replicated = s.cfg.Replicator != nil
-	sess.writer <- struct{}{} // pre-held until the replica snapshot is published
-	if err := s.store.put(sess); err != nil {
-		sess.unlock()
-		return fmt.Errorf("serve: replica session %s: %w", snap.ID, err)
-	}
-	if s.cfg.Persist != nil {
-		l, err := s.cfg.Persist.Create(snap)
-		if err != nil {
-			sess.closed = true
-			s.store.remove(snap.ID)
-			sess.unlock()
-			return persistFailed(err)
-		}
-		sess.wlog = l
-	}
+	sess.writer <- struct{}{} // pre-held until the replica is in the store
+	defer sess.unlock()
 	sess.install(snapshot{
 		version:    snap.Version,
 		energy:     snap.Energy,
@@ -163,10 +145,55 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 		hosts:      net.NumHosts(),
 		links:      net.NumLinks(),
 	})
+	// Full sync replaces whatever incarnation is live.  The old one is closed
+	// under its writer slot exactly like DELETE, so in-flight work observes
+	// closed — but it stays in the store, serving its last snapshot to
+	// lock-free readers, until the replacement (snapshot already installed)
+	// takes its place in one store operation: a read of a session that exists
+	// on both nodes never sees it missing or unpublished in between.
+	old, live := s.store.get(snap.ID)
+	if live {
+		ctx, cancel := s.replicaCtx()
+		err := old.lock(ctx)
+		cancel()
+		if err != nil {
+			return err
+		}
+		defer old.unlock()
+		// Closed means a DELETE or another full sync won the slot first and
+		// already took it out of the store: insert like a new session.
+		live = !old.closed
+	}
+	if live {
+		old.closed = true
+		if s.cfg.Persist != nil {
+			s.cfg.Persist.Remove(old.id) //nolint:errcheck // failure degrades the manager
+		}
+	} else if err := s.store.put(sess); err != nil {
+		return fmt.Errorf("serve: replica session %s: %w", snap.ID, err)
+	}
+	if s.cfg.Persist != nil {
+		l, err := s.cfg.Persist.Create(snap)
+		if err != nil {
+			sess.closed = true
+			s.store.remove(snap.ID)
+			if live {
+				s.dropCaches(old)
+				if rep := s.cfg.Replicator; rep != nil {
+					rep.SessionDeleted(snap.ID)
+				}
+			}
+			return persistFailed(err)
+		}
+		sess.wlog = l
+	}
+	if live {
+		s.store.replace(sess)
+		s.dropCaches(old)
+	}
 	if rep := s.cfg.Replicator; rep != nil {
 		rep.SessionCreated(snap)
 	}
-	sess.unlock()
 	return nil
 }
 

@@ -88,6 +88,17 @@ func (st *store) put(s *session) error {
 	return nil
 }
 
+// replace swaps a live session for its successor under the same ID in one
+// step, so no lookup observes the ID missing in between.  The caller holds
+// the predecessor's writer slot, which is what keeps the entry from being
+// removed underneath it; the session count does not change.
+func (st *store) replace(s *session) {
+	sh := st.shard(s.id)
+	sh.mu.Lock()
+	sh.m[s.id] = s
+	sh.mu.Unlock()
+}
+
 // remove deletes a session, reporting whether it was live.
 func (st *store) remove(id string) bool {
 	sh := st.shard(id)

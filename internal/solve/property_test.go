@@ -11,6 +11,7 @@ import (
 	// Register every solver kernel with the registry under test.
 	_ "netdiversity/internal/bp"
 	_ "netdiversity/internal/icm"
+	_ "netdiversity/internal/multilevel"
 	_ "netdiversity/internal/trws"
 )
 

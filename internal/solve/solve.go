@@ -149,8 +149,9 @@ type WarmKernel interface {
 
 // Run drives a kernel to completion: it owns validation, warm starts,
 // best-labeling tracking, the tolerance/patience convergence rule, the
-// energy history and context cancellation.  On cancellation it returns the
-// best solution found so far together with the context error.
+// energy history and context cancellation.  On cancellation, or when the
+// kernel reports an internal failure through an optional Err() error method,
+// it returns the best solution found so far together with the error.
 func Run(ctx context.Context, g *mrf.Graph, opts Options, k Kernel) (mrf.Solution, error) {
 	if g == nil {
 		return mrf.Solution{}, ErrNilGraph
@@ -250,6 +251,14 @@ func Run(ctx context.Context, g *mrf.Graph, opts Options, k Kernel) (mrf.Solutio
 		if noImprove >= opts.Patience {
 			converged = true
 			break
+		}
+	}
+	// A kernel that aborted internally (a composite kernel whose inner solve
+	// failed) reports Exhausted and remembers why; without this check its
+	// caller would be served the baseline labeling as if it were a solution.
+	if f, ok := k.(interface{ Err() error }); ok {
+		if err := f.Err(); err != nil {
+			return pack(g, best, bestEnergy, history, iterations, false), err
 		}
 	}
 	return pack(g, best, bestEnergy, history, iterations, converged), nil
