@@ -66,11 +66,9 @@ import (
 	"syscall"
 	"time"
 
-	"netdiversity/internal/core"
 	"netdiversity/internal/netmodel"
 	"netdiversity/internal/replic"
 	"netdiversity/internal/serve"
-	"netdiversity/internal/vulnsim"
 	"netdiversity/internal/wal"
 
 	// Sessions name their solver ("solver":"multilevel"); core links the flat
@@ -167,7 +165,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		srv.SetFollower(*follow)
 	}
 	if manager != nil {
-		if err := recoverSessions(srv, manager, out, *follow != ""); err != nil {
+		if err := recoverSessions(srv, manager, out); err != nil {
 			return err
 		}
 	}
@@ -316,20 +314,17 @@ func replicationStats(prim *replic.Primary, fol *replic.Follower) *serve.Replica
 // recoverSessions restores every session the data directory holds before
 // the listener opens, so a restarted daemon comes back serving exactly the
 // durably-acked state.  Unrecoverable sessions are reported and skipped —
-// one corrupt tenant must not keep the rest of the fleet down.  A follower
-// restores replica sessions (no optimiser — they stay advanceable by patch
-// replay and the anti-entropy loop catches them up from the primary).
-func recoverSessions(srv *serve.Server, manager *wal.Manager, out io.Writer, follower bool) error {
+// one corrupt tenant must not keep the rest of the fleet down.  On a follower
+// (SetFollower already ran) Restore brings back replica sessions: no
+// optimiser, advanceable by patch replay, caught up from the primary by the
+// anti-entropy loop.
+func recoverSessions(srv *serve.Server, manager *wal.Manager, out io.Writer) error {
 	recovered, skipped, err := manager.Recover()
 	if err != nil {
 		return err
 	}
-	restore := srv.Restore
-	if follower {
-		restore = srv.RestoreReplica
-	}
 	for _, rec := range recovered {
-		if err := restore(rec); err != nil {
+		if err := srv.Restore(rec); err != nil {
 			fmt.Fprintf(out, "divd: recovery skipped %s: %v\n", rec.Snapshot.ID, err)
 			continue
 		}
@@ -367,7 +362,7 @@ func preloadSpecs(srv *serve.Server, list string, out io.Writer) error {
 			return fmt.Errorf("preload %s: %w", path, err)
 		}
 		id := fmt.Sprintf("preload-%d", i)
-		if err := srv.Preload(id, net, cs, vulnsim.PaperSimilarity(), core.Options{}); err != nil {
+		if err := srv.Preload(id, net, cs, 0); err != nil {
 			if errors.Is(err, serve.ErrSessionExists) {
 				fmt.Fprintf(out, "divd: preload %s: %s already recovered, keeping recovered state\n", path, id)
 				continue

@@ -8,7 +8,6 @@
 package bp
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -18,38 +17,6 @@ import (
 
 func init() {
 	solve.Register("bp", func() solve.Kernel { return &Kernel{} })
-}
-
-// Options configures the solver (thin compatibility wrapper over the unified
-// solve.Options).
-type Options struct {
-	// MaxIterations bounds the number of synchronous message update rounds.
-	// Default 100.
-	MaxIterations int
-	// Damping in [0,1) mixes the new message with the previous one
-	// (m = (1-d)·new + d·old), which helps convergence on loopy graphs.
-	// Default 0.5.
-	Damping float64
-	// Tolerance declares convergence when the largest message change in a
-	// round falls below it.  Default 1e-4.
-	Tolerance float64
-}
-
-// ErrNilGraph is returned when Solve is called with a nil graph.
-var ErrNilGraph = solve.ErrNilGraph
-
-// Solve runs loopy min-sum BP and returns the decoded labeling.
-func Solve(g *mrf.Graph, opts Options) (mrf.Solution, error) {
-	return SolveContext(context.Background(), g, opts)
-}
-
-// SolveContext is Solve with cancellation between rounds.
-func SolveContext(ctx context.Context, g *mrf.Graph, opts Options) (mrf.Solution, error) {
-	return solve.Run(ctx, g, solve.Options{
-		MaxIterations: opts.MaxIterations,
-		Damping:       opts.Damping,
-		Tolerance:     opts.Tolerance,
-	}, &Kernel{})
 }
 
 // Kernel is the synchronous loopy-BP kernel.

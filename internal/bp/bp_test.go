@@ -9,7 +9,13 @@ import (
 
 	"netdiversity/internal/mrf"
 	"netdiversity/internal/mrf/mrftest"
+	"netdiversity/internal/solve"
 )
+
+// run solves g with this package's kernel through the shared driver.
+func run(g *mrf.Graph, opts solve.Options) (mrf.Solution, error) {
+	return solve.Run(context.Background(), g, opts, &Kernel{})
+}
 
 func randomGraph(t *testing.T, rng *rand.Rand, nodes, labels int) *mrf.Graph {
 	t.Helper()
@@ -63,19 +69,19 @@ func bruteForce(g *mrf.Graph) float64 {
 }
 
 func TestSolveNilAndInvalidOptions(t *testing.T) {
-	if _, err := Solve(nil, Options{}); !errors.Is(err, ErrNilGraph) {
+	if _, err := run(nil, solve.Options{}); !errors.Is(err, solve.ErrNilGraph) {
 		t.Errorf("nil graph should return ErrNilGraph, got %v", err)
 	}
 	g, _ := mrf.NewGraph([]int{2})
-	if _, err := Solve(g, Options{Damping: 1.5}); err == nil {
+	if _, err := run(g, solve.Options{Damping: 1.5}); err == nil {
 		t.Error("damping outside [0,1) should be rejected")
 	}
-	if _, err := Solve(g, Options{Damping: -0.1}); err == nil {
+	if _, err := run(g, solve.Options{Damping: -0.1}); err == nil {
 		t.Error("negative damping should be rejected")
 	}
 	bad, _ := mrf.NewGraph([]int{2})
 	_ = bad.SetUnary(0, 0, math.NaN())
-	if _, err := Solve(bad, Options{}); err == nil {
+	if _, err := run(bad, solve.Options{}); err == nil {
 		t.Error("invalid graph should be rejected")
 	}
 }
@@ -84,7 +90,7 @@ func TestSolveChainExact(t *testing.T) {
 	// On trees min-sum BP is exact once converged.
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(t, rng, 6, 3)
-	sol, err := Solve(g, Options{MaxIterations: 100})
+	sol, err := run(g, solve.Options{MaxIterations: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestSolveNeverWorseThanGreedyStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(t, rng, 8, 3)
-		sol, err := Solve(g, Options{MaxIterations: 50})
+		sol, err := run(g, solve.Options{MaxIterations: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +126,7 @@ func TestSolveContextCancellation(t *testing.T) {
 	g := randomGraph(t, rng, 8, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveContext(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := solve.Run(ctx, g, solve.Options{}, &Kernel{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context should surface context.Canceled, got %v", err)
 	}
 }
@@ -135,7 +141,7 @@ func TestSolveHardConstraint(t *testing.T) {
 	if _, err := g.AddEdge(0, 1, mrf.PottsCost(2, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(g, Options{})
+	sol, err := run(g, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func benchmarkSolve(b *testing.B, labels int) {
 	g := mrftest.BenchGraph(b, 400, labels)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g, Options{MaxIterations: 10, Tolerance: 1e-12}); err != nil {
+		if _, err := run(g, solve.Options{MaxIterations: 10, Tolerance: 1e-12}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,39 +22,13 @@ func init() {
 	solve.Register("anneal", func() solve.Kernel { return &Kernel{ForceAnnealing: true} })
 }
 
-// Options configures the solvers (thin compatibility wrapper over the
-// unified solve.Options).
-type Options struct {
-	// MaxIterations bounds the number of full sweeps over the nodes per
-	// restart.  Default 50.
-	MaxIterations int
-	// Restarts runs the search from multiple random initialisations and
-	// keeps the best result.  Default 1 (single run from the greedy-unary
-	// initial labeling).
-	Restarts int
-	// Seed makes the random restarts and annealing deterministic.
-	Seed int64
-	// Annealing enables the simulated-annealing acceptance rule instead of
-	// strict descent.
-	Annealing bool
-	// InitialTemperature and Cooling control the annealing schedule.
-	InitialTemperature float64
-	Cooling            float64
-	// InitialLabels optionally seeds the first restart with a specific
-	// labeling instead of the greedy-unary initialisation.
-	InitialLabels []int
-}
-
-// ErrNilGraph is returned when Solve is called with a nil graph.
-var ErrNilGraph = solve.ErrNilGraph
-
 // Polish runs strict ICM descent starting from the given labeling and returns
 // the (weakly) improved labeling.  It is used to locally refine the output of
 // the message-passing solvers ("TRW-S + local polish"), and never increases
 // the energy.
 func Polish(g *mrf.Graph, labels []int, maxSweeps int) (mrf.Solution, error) {
 	if g == nil {
-		return mrf.Solution{}, ErrNilGraph
+		return mrf.Solution{}, solve.ErrNilGraph
 	}
 	if len(labels) != g.NumNodes() {
 		return mrf.Solution{}, fmt.Errorf("icm: labeling has %d entries, want %d", len(labels), g.NumNodes())
@@ -67,10 +41,10 @@ func Polish(g *mrf.Graph, labels []int, maxSweeps int) (mrf.Solution, error) {
 		return mrf.Solution{}, fmt.Errorf("icm: polish start labeling: %w", err)
 	}
 	start := append([]int(nil), labels...)
-	sol, err := SolveContext(context.Background(), g, Options{
+	sol, err := solve.Run(context.Background(), g, solve.Options{
 		MaxIterations: maxSweeps,
 		InitialLabels: start,
-	})
+	}, &Kernel{})
 	if err != nil {
 		return mrf.Solution{}, err
 	}
@@ -81,24 +55,6 @@ func Polish(g *mrf.Graph, labels []int, maxSweeps int) (mrf.Solution, error) {
 		sol.Energy = startEnergy
 	}
 	return sol, nil
-}
-
-// Solve runs ICM (or simulated annealing when Options.Annealing is set).
-func Solve(g *mrf.Graph, opts Options) (mrf.Solution, error) {
-	return SolveContext(context.Background(), g, opts)
-}
-
-// SolveContext is Solve with cancellation between sweeps.
-func SolveContext(ctx context.Context, g *mrf.Graph, opts Options) (mrf.Solution, error) {
-	return solve.Run(ctx, g, solve.Options{
-		MaxIterations:      opts.MaxIterations,
-		Restarts:           opts.Restarts,
-		Seed:               opts.Seed,
-		Annealing:          opts.Annealing,
-		InitialTemperature: opts.InitialTemperature,
-		Cooling:            opts.Cooling,
-		InitialLabels:      opts.InitialLabels,
-	}, &Kernel{})
 }
 
 // Kernel is the ICM / simulated-annealing sweep kernel.  Restarts are

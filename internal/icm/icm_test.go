@@ -9,7 +9,13 @@ import (
 	"testing/quick"
 
 	"netdiversity/internal/mrf"
+	"netdiversity/internal/solve"
 )
+
+// run solves g with this package's kernel through the shared driver.
+func run(g *mrf.Graph, opts solve.Options) (mrf.Solution, error) {
+	return solve.Run(context.Background(), g, opts, &Kernel{})
+}
 
 func randomGraph(t *testing.T, rng *rand.Rand, nodes, labels int) *mrf.Graph {
 	t.Helper()
@@ -42,12 +48,12 @@ func randomGraph(t *testing.T, rng *rand.Rand, nodes, labels int) *mrf.Graph {
 }
 
 func TestSolveNil(t *testing.T) {
-	if _, err := Solve(nil, Options{}); !errors.Is(err, ErrNilGraph) {
+	if _, err := run(nil, solve.Options{}); !errors.Is(err, solve.ErrNilGraph) {
 		t.Errorf("nil graph should return ErrNilGraph, got %v", err)
 	}
 	bad, _ := mrf.NewGraph([]int{2})
 	_ = bad.SetUnary(0, 0, math.NaN())
-	if _, err := Solve(bad, Options{}); err == nil {
+	if _, err := run(bad, solve.Options{}); err == nil {
 		t.Error("invalid graph should be rejected")
 	}
 }
@@ -56,7 +62,7 @@ func TestSolveImprovesOverGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(t, rng, 10, 3)
-		sol, err := Solve(g, Options{})
+		sol, err := run(g, solve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,18 +79,18 @@ func TestSolveImprovesOverGreedy(t *testing.T) {
 func TestSolveRestartsAndAnnealing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(t, rng, 12, 4)
-	single, err := Solve(g, Options{Seed: 1})
+	single, err := run(g, solve.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Solve(g, Options{Seed: 1, Restarts: 8})
+	multi, err := run(g, solve.Options{Seed: 1, Restarts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if multi.Energy > single.Energy+1e-9 {
 		t.Errorf("restarts should never hurt: %v vs %v", multi.Energy, single.Energy)
 	}
-	annealed, err := Solve(g, Options{Seed: 1, Annealing: true, Restarts: 4, MaxIterations: 80})
+	annealed, err := run(g, solve.Options{Seed: 1, Annealing: true, Restarts: 4, MaxIterations: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +103,11 @@ func TestSolveRestartsAndAnnealing(t *testing.T) {
 func TestSolveDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomGraph(t, rng, 10, 3)
-	a, err := Solve(g, Options{Seed: 42, Restarts: 5})
+	a, err := run(g, solve.Options{Seed: 42, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, Options{Seed: 42, Restarts: 5})
+	b, err := run(g, solve.Options{Seed: 42, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestSolveContextCancellation(t *testing.T) {
 	g := randomGraph(t, rng, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveContext(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := solve.Run(ctx, g, solve.Options{}, &Kernel{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context should surface context.Canceled, got %v", err)
 	}
 }
@@ -142,7 +148,7 @@ func TestPolishNeverIncreasesEnergy(t *testing.T) {
 
 func TestPolishValidation(t *testing.T) {
 	g, _ := mrf.NewGraph([]int{2, 2})
-	if _, err := Polish(nil, []int{0, 0}, 3); !errors.Is(err, ErrNilGraph) {
+	if _, err := Polish(nil, []int{0, 0}, 3); !errors.Is(err, solve.ErrNilGraph) {
 		t.Error("nil graph should be rejected")
 	}
 	if _, err := Polish(g, []int{0}, 3); err == nil {

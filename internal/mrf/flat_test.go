@@ -119,22 +119,23 @@ func TestFlatStorageMatchesReferenceEnergy(t *testing.T) {
 	}
 }
 
-// TestEdgeViewAndAccessorsAgree: every access path to the pairwise costs
-// (compat Edge view, PairwiseCost, EdgeMat, EdgeMatT) must agree.
-func TestEdgeViewAndAccessorsAgree(t *testing.T) {
+// TestEdgeAccessorsAgree: every access path to the pairwise costs
+// (EdgeEndpoints, PairwiseCost, EdgeMat, EdgeMatT) must agree with the
+// nested-slice reference the edges were built from.
+func TestEdgeAccessorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	g, _ := buildPair(t, rng, 8, 3, 5)
+	g, ref := buildPair(t, rng, 8, 3, 5)
 	for idx := 0; idx < g.NumEdges(); idx++ {
-		e := g.Edge(idx)
+		e := ref.edges[idx]
 		m := g.EdgeMat(idx)
 		mt := g.EdgeMatT(idx)
 		u, v := g.EdgeEndpoints(idx)
-		if u != e.U || v != e.V {
+		if u != e.u || v != e.v {
 			t.Fatalf("edge %d endpoints disagree", idx)
 		}
-		for a := 0; a < g.NumLabels(e.U); a++ {
-			for b := 0; b < g.NumLabels(e.V); b++ {
-				want := e.Cost[a][b]
+		for a := 0; a < g.NumLabels(u); a++ {
+			for b := 0; b < g.NumLabels(v); b++ {
+				want := e.cost[a][b]
 				if got := g.PairwiseCost(idx, a, b); got != want {
 					t.Fatalf("PairwiseCost(%d,%d,%d) = %v, want %v", idx, a, b, got, want)
 				}

@@ -49,16 +49,6 @@ func (m *Matrix) transposed() *Matrix {
 	return t
 }
 
-// rowViews returns a [][]float64 whose rows alias the flat buffer (zero-copy
-// compatibility view for the legacy Edge.Cost field).
-func (m *Matrix) rowViews() [][]float64 {
-	out := make([][]float64, m.Rows)
-	for i := range out {
-		out[i] = m.Row(i)
-	}
-	return out
-}
-
 // flatten copies a nested cost matrix into a Matrix (shape already checked).
 func flatten(cost [][]float64) *Matrix {
 	rows := len(cost)

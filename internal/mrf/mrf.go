@@ -28,14 +28,6 @@ import (
 // numerically stable while still dominating every achievable soft cost.
 const HardPenalty = 1e9
 
-// Edge is an undirected pairwise factor between nodes U and V with a dense
-// cost matrix Cost[labelU][labelV].  The Cost rows alias the graph's interned
-// flat storage; callers must treat them as read-only.
-type Edge struct {
-	U, V int
-	Cost [][]float64
-}
-
 // edgeRec is the internal edge representation: endpoints plus the index of
 // the interned cost matrix.
 type edgeRec struct {
@@ -53,7 +45,6 @@ type Graph struct {
 	edges []edgeRec
 	mats  []*Matrix // interned distinct cost matrices
 	matsT []*Matrix // lazily built transposes, same indexing as mats
-	views [][][]float64
 	// interning indexes: content hash -> candidate matrix ids, and identity
 	// of a caller-shared nested matrix -> matrix id.
 	byContent map[uint64][]int
@@ -214,8 +205,7 @@ func identityOf(cost [][]float64) matIdentity {
 }
 
 // intern stores the matrix if no identical matrix exists yet and returns the
-// matrix id.  The legacy row view is built eagerly so Edge() stays a pure
-// (concurrency-safe) read.
+// matrix id.
 func (g *Graph) intern(m *Matrix) int {
 	h := m.contentHash()
 	for _, id := range g.byContent[h] {
@@ -225,7 +215,6 @@ func (g *Graph) intern(m *Matrix) int {
 	}
 	id := len(g.mats)
 	g.mats = append(g.mats, m)
-	g.views = append(g.views, m.rowViews())
 	g.byContent[h] = append(g.byContent[h], id)
 	return id
 }
@@ -302,13 +291,6 @@ func (g *Graph) AddEdgeFlat(u, v int, rows, cols int, data []float64) (int, erro
 	}
 	m := &Matrix{Rows: rows, Cols: cols, Data: append([]float64(nil), data...)}
 	return g.appendEdge(u, v, g.intern(m)), nil
-}
-
-// Edge returns the idx-th pairwise factor as a compatibility view whose Cost
-// rows alias the interned flat buffer; callers must treat it as read-only.
-func (g *Graph) Edge(idx int) Edge {
-	e := g.edges[idx]
-	return Edge{U: e.U, V: e.V, Cost: g.views[e.Mat]}
 }
 
 // EdgeEndpoints returns the two endpoints of the idx-th edge.

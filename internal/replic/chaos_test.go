@@ -149,7 +149,7 @@ func restartFollower(t *testing.T, old *chaosNode, followURL string, client *htt
 		t.Fatalf("recovery skipped %s: %v", sk.ID, sk.Err)
 	}
 	for _, rec := range recovered {
-		if err := n.srv.RestoreReplica(rec); err != nil {
+		if err := n.srv.Restore(rec); err != nil {
 			t.Fatalf("restore replica %s: %v", rec.Snapshot.ID, err)
 		}
 	}
@@ -347,6 +347,15 @@ func TestReplicationPartitionHeal(t *testing.T) {
 	writeDeltas(t, primary, ids, 4, 0)
 	converge(t, primary, follower, ids, 100)
 	f := follower.fol.Load()
+	// The snapshot the primary pushed when the follower attached may still be
+	// in flight — converge sees its install, its counter ticks afterwards —
+	// so let that one push land before taking the baseline.
+	for deadline := time.Now().Add(5 * time.Second); primary.prim.Followers()[0].SentRecords < 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("attach-time snapshot push never completed: %+v", primary.prim.Followers())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	baseSnapshots := f.Stats().SnapshotsFetched
 
 	tr.Partition(true)
@@ -367,6 +376,50 @@ func TestReplicationPartitionHeal(t *testing.T) {
 	}
 	if st.SnapshotsFetched != baseSnapshots {
 		t.Fatalf("healed partition fell back to full snapshots (%d -> %d) for a 10-record diff", baseSnapshots, st.SnapshotsFetched)
+	}
+}
+
+// TestDivergedReplicaResyncs pins the repair of a replica whose state at its
+// own version is not the primary's (what a deposed primary's pushes leave
+// behind): the primary's next record fails the replay hash check there, the
+// replica keeps serving what it has rather than vanishing, and the following
+// rounds replace it from a full snapshot.
+func TestDivergedReplicaResyncs(t *testing.T) {
+	client := &http.Client{Timeout: 5 * time.Second}
+	primary := startChaosNode(t, t.TempDir(), "", client)
+	follower := startChaosNode(t, t.TempDir(), primary.hs.URL, client)
+	ids := createSessions(t, primary, 1, 5)
+	converge(t, primary, follower, ids, 100)
+
+	// Same version, another product on h4 — far from h0, where the next
+	// delta lands, so its record's patch does not paper over the difference.
+	snap, err := follower.srv.CurrentSnapshot(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Assignment = snap.Assignment.Clone()
+	for _, p := range []netmodel.ProductID{"win7", "ubt1404"} {
+		if cur, _ := snap.Assignment.Get("h4", "os"); cur != p {
+			snap.Assignment.Set("h4", "os", p)
+			break
+		}
+	}
+	snap.Hash = snap.Assignment.Hash()
+	if err := follower.srv.ReplicaCreate(snap); err != nil {
+		t.Fatal(err)
+	}
+	f := follower.fol.Load()
+	base := f.Stats()
+
+	writeDeltas(t, primary, ids, 1, 0)
+	converge(t, primary, follower, ids, 100)
+	assertIdenticalReads(t, primary, follower, ids)
+	st := f.Stats()
+	if st.BadRecords == base.BadRecords {
+		t.Fatalf("the diverged replica accepted the primary's record: %+v", st)
+	}
+	if st.SnapshotsFetched == base.SnapshotsFetched {
+		t.Fatalf("converged without a full snapshot: %+v", st)
 	}
 }
 

@@ -335,7 +335,7 @@ func (f *Follower) fetchRecords(ctx context.Context, id string, versions []uint6
 			resp.Body.Close()
 			return err
 		}
-		err = readFrameStream(resp.Body, func(payload []byte) error {
+		err = wal.ScanFrames(resp.Body, maxStreamFrames, func(payload []byte) error {
 			rec, err := wal.DecodeRecord(payload)
 			if err != nil {
 				return err // corrupt frame payload: abort this fetch
@@ -372,7 +372,7 @@ func (f *Follower) fullSync(ctx context.Context, id string) error {
 		return wireStatusError(resp)
 	}
 	var snap *wal.SessionSnapshot
-	err = readFrameStream(resp.Body, func(payload []byte) error {
+	err = wal.ScanFrames(resp.Body, maxStreamFrames, func(payload []byte) error {
 		if snap != nil {
 			return fmt.Errorf("snapshot stream carried extra frames")
 		}
@@ -418,8 +418,11 @@ func (f *Follower) offer(id string, rec *wal.Record) {
 }
 
 // drain applies buffered records that extend the contiguously applied chain.
-// An apply failure marks the session for resync — incremental state is no
-// longer trustworthy once the deterministic replay path rejects a record.
+// An apply failure that left the replica where the record chains from marks
+// the session for resync — the replay path rejected the record itself, so
+// incremental state is no longer trustworthy.  A replica that moved on
+// meanwhile only lost a race (push and pull offered the same record): the
+// next round's listing settles what, if anything, is still missing.
 func (f *Follower) drain(id string) error {
 	for {
 		v, _, ok := f.store.ReplicaVersion(id)
@@ -444,8 +447,10 @@ func (f *Follower) drain(id string) error {
 		}
 		if err := f.store.ReplicaApply(id, next); err != nil {
 			f.badRecords.Add(1)
-			f.markResync(id)
 			f.dropPending(id)
+			if cur, _, ok := f.store.ReplicaVersion(id); ok && cur == v {
+				f.markResync(id)
+			}
 			return fmt.Errorf("apply record %d: %w", next.Version, err)
 		}
 		f.recordsApplied.Add(1)
@@ -462,7 +467,7 @@ func (f *Follower) IngestHandler() http.Handler {
 			writeWireError(w, http.StatusConflict, "replication stopped: node promoted")
 			return
 		}
-		err := readFrameStream(r.Body, func(payload []byte) error {
+		err := wal.ScanFrames(r.Body, maxStreamFrames, func(payload []byte) error {
 			var env pushEnvelope
 			if err := json.Unmarshal(payload, &env); err != nil {
 				return fmt.Errorf("decode push envelope: %w", err)

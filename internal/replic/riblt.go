@@ -20,7 +20,7 @@
 //     communication.
 //
 // Everything record-sized crosses the wire as length-prefixed, CRC32C-checked
-// frames (wal.AppendFrame / wal.ReadFrame) — the same framing, and the same
+// frames (wal.AppendFrame / wal.ScanFrames) — the same framing, and the same
 // torn/corrupt detection, the on-disk log already trusts.  See
 // docs/REPLICATION.md for roles, the ack-vs-replication contract and the
 // promotion runbook.

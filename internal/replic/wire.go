@@ -1,10 +1,8 @@
 package replic
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,7 +14,7 @@ import (
 // requests, attach) are plain JSON bodies; everything that carries records or
 // snapshots — the push stream and the record/snapshot fetch responses — is a
 // sequence of length-prefixed, CRC32C-checked frames in the WAL's on-disk
-// framing (wal.AppendFrame / wal.ReadFrame), so a truncated response or a
+// framing (wal.AppendFrame / wal.ScanFrames), so a truncated response or a
 // flipped bit is detected exactly like a torn or corrupt log record, before
 // any payload reaches an apply path.
 
@@ -107,31 +105,6 @@ type pushEnvelope struct {
 	Kind     string          `json:"kind"`
 	Record   json.RawMessage `json:"record,omitempty"`
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
-}
-
-// errStreamTooLong reports a framed stream exceeding maxStreamFrames.
-var errStreamTooLong = errors.New("replic: framed stream exceeds frame limit")
-
-// readFrameStream consumes a framed stream, invoking fn per payload.  A torn
-// or corrupt frame, an over-long stream, or an fn error stops the stream and
-// is returned; a clean EOF at a frame boundary ends it with nil.
-func readFrameStream(r io.Reader, fn func(payload []byte) error) error {
-	br := bufio.NewReader(r)
-	for n := 0; ; n++ {
-		if n >= maxStreamFrames {
-			return errStreamTooLong
-		}
-		payload, err := wal.ReadFrame(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(payload); err != nil {
-			return err
-		}
-	}
 }
 
 // appendEnvelopeFrame marshals one push envelope and appends it to dst as a

@@ -7,9 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"netdiversity/internal/core"
 	"netdiversity/internal/netmodel"
-	"netdiversity/internal/vulnsim"
 )
 
 // discardResponseWriter is a reusable ResponseWriter for handler-level
@@ -38,7 +36,7 @@ func benchServer(tb testing.TB, hosts int) *Server {
 	if err != nil {
 		tb.Fatalf("spec: %v", err)
 	}
-	if err := srv.Preload("bench", net, cs, vulnsim.PaperSimilarity(), core.Options{Seed: 1}); err != nil {
+	if err := srv.Preload("bench", net, cs, 1); err != nil {
 		tb.Fatalf("preload: %v", err)
 	}
 	return srv

@@ -199,29 +199,23 @@ func (s *Server) runDeltaBatch(ctx context.Context, sess *session) {
 	}
 	prev := sess.snap.Load()
 	snap := sess.buildSnapshot(uint64(len(accepted)))
-	// Durability point: the record must be on disk (per the fsync policy)
-	// before the snapshot becomes visible or any ack goes out.  On failure
-	// nothing is installed — readers keep the pre-batch state, the manager
-	// is degraded, and pendingReopt stays set so consistency-requiring
-	// requests fail instead of observing the un-journaled network.
-	rec, err := s.journalPublish(sess, prev, snap, accepted)
-	if err != nil {
+	// Nothing is visible and no ack goes out until publish journaled the
+	// record.  On failure readers keep the pre-batch state, the manager is
+	// degraded, and pendingReopt stays set so consistency-requiring requests
+	// fail instead of observing the un-journaled network.
+	if err := s.publish(sess, sess.buildRecord(prev, snap, accepted), snap, nil); err != nil {
 		sess.rememberUnjournaled(accepted)
 		ackAll(accepted, err)
 		return
 	}
-	sess.pendingReopt = false
-	sess.install(snap)
-	if rep := s.cfg.Replicator; rep != nil && rec != nil {
-		rep.RecordCommitted(sess.id, rec)
-	}
 	changed := changedHosts(prev, snap.assignment)
+	hosts := sess.net.NumHosts()
 	for _, rq := range accepted {
 		resp := DeltaResponse{
 			ID:             sess.id,
 			Version:        snap.version,
 			Ops:            len(rq.delta.Ops),
-			Hosts:          snap.hosts,
+			Hosts:          hosts,
 			Energy:         snap.energy,
 			AssignmentHash: snap.hash,
 			Incremental:    res.Incremental,

@@ -143,6 +143,13 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 	return false
 }
 
+// rejectWrite is the one write gate: a request that changes session state is
+// turned away by a follower (not_primary), during shutdown (draining) and
+// while persistence is degraded, in that order.
+func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) bool {
+	return s.rejectNotPrimary(w, r) || s.rejectDraining(w) || s.rejectDegraded(w)
+}
+
 // summary renders a session's published state.
 func sessionSummary(sess *session, snap *snapshot) NetworkSummary {
 	return NetworkSummary{
@@ -201,7 +208,7 @@ func (s *Server) lockLive(ctx context.Context, sess *session) (*session, error) 
 // snapshot.  The session is inserted before solving so the ID is reserved
 // against concurrent creates; a failed solve removes it again.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if s.rejectNotPrimary(w, r) || s.rejectDraining(w) || s.rejectDegraded(w) {
+	if s.rejectWrite(w, r) {
 		return
 	}
 	var req CreateRequest
@@ -223,43 +230,34 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, err)
 		return
 	}
-	sim, err := buildSimilarity(req.Similarity, net)
-	if err != nil {
-		s.writeFailure(w, err)
-		return
+	meta := wal.SessionSnapshot{
+		Solver:        req.Solver,
+		Seed:          req.Seed,
+		MaxIterations: min(req.MaxIterations, s.cfg.MaxIterations),
 	}
-	solverName := req.Solver
-	if solverName == "" {
-		solverName = "trws"
+	if meta.Solver == "" {
+		meta.Solver = "trws"
 	}
-	solver, err := core.ParseSolver(solverName)
-	if err != nil {
-		s.writeFailure(w, err)
-		return
-	}
-	iters := req.MaxIterations
-	if iters > s.cfg.MaxIterations {
-		iters = s.cfg.MaxIterations
+	if req.Similarity != nil {
+		if meta.Similarity, err = json.Marshal(req.Similarity); err != nil {
+			s.writeFailure(w, err)
+			return
+		}
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	start := time.Now()
-	opts := core.Options{
-		Solver:        solver,
-		MaxIterations: iters,
-		Seed:          req.Seed,
-	}
 	var (
 		sess *session
-		snap snapshot
+		snap *snapshot
 		res  core.Result
 	)
 	for {
-		id := req.ID
-		if id == "" {
-			id = s.store.allocID()
+		meta.ID = req.ID
+		if meta.ID == "" {
+			meta.ID = s.store.allocID()
 		}
-		sess, snap, res, err = s.createSession(ctx, id, solverName, net, cs, sim, req.Similarity, opts)
+		sess, snap, res, err = s.createSession(ctx, &meta, net, cs)
 		if err == nil {
 			break
 		}
@@ -273,7 +271,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, CreateResponse{
-		NetworkSummary:       sessionSummary(sess, &snap),
+		NetworkSummary:       sessionSummary(sess, snap),
 		Iterations:           res.Iterations,
 		Converged:            res.Converged,
 		WallMS:               float64(time.Since(start)) / float64(time.Millisecond),
@@ -319,7 +317,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // deleted) or arrives after and observes the closed session — acknowledged
 // writes never disappear retroactively.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if s.rejectNotPrimary(w, r) || s.rejectDraining(w) || s.rejectDegraded(w) {
+	if s.rejectWrite(w, r) {
 		return
 	}
 	sess, _, ok := s.loadSession(w, r, false)
@@ -333,20 +331,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	closed := sess.closed
-	if !closed {
-		sess.closed = true
-		s.store.remove(sess.id)
-		s.dropCaches(sess)
-		if s.cfg.Persist != nil {
-			// Remove the on-disk state under the writer slot, so a crash
-			// between ack and removal at worst resurrects the session (the
-			// client retries the delete) and never the other way round.
-			s.cfg.Persist.Remove(sess.id) //nolint:errcheck // failure degrades the manager
-		}
-		if rep := s.cfg.Replicator; rep != nil {
-			rep.SessionDeleted(sess.id)
-		}
-	}
+	s.retire(sess)
 	sess.unlock()
 	if closed {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown network %q", sess.id))
@@ -364,7 +349,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // batch lands as if it never existed), and each request is acked with the
 // post-batch version.
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	if s.rejectNotPrimary(w, r) || s.rejectDraining(w) || s.rejectDegraded(w) {
+	if s.rejectWrite(w, r) {
 		return
 	}
 	sess, _, ok := s.loadSession(w, r, false)
@@ -441,21 +426,10 @@ func (s *Server) healPending(ctx context.Context, sess *session) error {
 	if _, err := sess.opt.Reoptimize(ctx); err != nil {
 		return err
 	}
-	prev := sess.snap.Load()
+	// The healed state folds in the timed-out batch (sess.pendingJournal), so
+	// it is journaled like any other publish before it becomes visible.
 	snap := sess.buildSnapshot(1)
-	// The healed state folds in the timed-out batch (sess.pendingJournal in
-	// persist mode), so it is journaled like any other publish before it
-	// becomes visible.
-	rec, err := s.journalPublish(sess, prev, snap, nil)
-	if err != nil {
-		return err
-	}
-	sess.pendingReopt = false
-	sess.install(snap)
-	if rep := s.cfg.Replicator; rep != nil && rec != nil {
-		rep.RecordCommitted(sess.id, rec)
-	}
-	return nil
+	return s.publish(sess, sess.buildRecord(sess.snap.Load(), snap, nil), snap, nil)
 }
 
 // changedHosts counts hosts of the new assignment that joined or changed

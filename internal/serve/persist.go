@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
-	"netdiversity/internal/core"
 	"netdiversity/internal/netmodel"
 	"netdiversity/internal/wal"
 )
@@ -46,45 +44,13 @@ func (s *Server) rejectDegraded(w http.ResponseWriter) bool {
 	return true
 }
 
-// walSnapshot serializes the session's full state at a published snapshot —
-// the payload of both the create-time snapshot and every compaction.
-// Called under the writer slot; snap.assignment is immutable post-build, so
-// sharing the pointer with the marshaller is safe.
-func (s *session) walSnapshot(snap snapshot) (*wal.SessionSnapshot, error) {
-	var simRaw json.RawMessage
-	if s.simSpec != nil {
-		b, err := json.Marshal(s.simSpec)
-		if err != nil {
-			return nil, fmt.Errorf("serve: encode similarity spec: %w", err)
-		}
-		simRaw = b
-	}
-	return &wal.SessionSnapshot{
-		ID:            s.id,
-		Solver:        s.solver,
-		Seed:          s.seed,
-		MaxIterations: s.maxIter,
-		Version:       snap.version,
-		Energy:        snap.energy,
-		Hash:          snap.hash,
-		Spec:          netmodel.ToSpec(s.net, s.cs),
-		Assignment:    snap.assignment,
-		Similarity:    simRaw,
-	}, nil
-}
-
-// journalPublish builds and journals the record that takes the session from
-// prev to snap: the batch's deltas (plus any pending un-journaled deltas
-// from a timed-out batch) and the assignment diff.  On success it also
-// writes a compacted snapshot when the log is due for one — best effort,
-// since the record itself is already durable.  A nil error is the caller's
-// licence to install the snapshot and ack; the returned record (non-nil
-// whenever persistence or replication needs one) is what the caller hands to
-// the Replicator hook after install.  An error means nothing was made
-// visible and the manager is degraded.  Called under the writer slot.
-func (s *Server) journalPublish(sess *session, prev *snapshot, snap snapshot, batch []*deltaReq) (*wal.Record, error) {
+// buildRecord builds the record that takes the session from prev to snap: the
+// batch's deltas (plus any pending un-journaled deltas from a timed-out batch)
+// and the assignment diff.  It returns nil when nothing consumes records — a
+// memory-only session without a Replicator.  Called under the writer slot.
+func (sess *session) buildRecord(prev *snapshot, snap snapshot, batch []*deltaReq) *wal.Record {
 	if sess.wlog == nil && !sess.replicated {
-		return nil, nil
+		return nil
 	}
 	recDeltas := make([]netmodel.Delta, 0, len(sess.pendingJournal)+len(batch))
 	recDeltas = append(recDeltas, sess.pendingJournal...)
@@ -97,7 +63,7 @@ func (s *Server) journalPublish(sess *session, prev *snapshot, snap snapshot, ba
 		prevVersion, prevAssignment = prev.version, prev.assignment
 	}
 	changed, removed := snap.assignment.DiffHosts(prevAssignment)
-	rec := &wal.Record{
+	return &wal.Record{
 		PrevVersion: prevVersion,
 		Version:     snap.version,
 		Deltas:      recDeltas,
@@ -106,22 +72,6 @@ func (s *Server) journalPublish(sess *session, prev *snapshot, snap snapshot, ba
 		Energy:      snap.energy,
 		Hash:        snap.hash,
 	}
-	if sess.wlog != nil {
-		if err := sess.wlog.Append(rec); err != nil {
-			return nil, persistFailed(err)
-		}
-	}
-	// The record is durable (or the server is memory-only and the record
-	// exists purely for replication): un-journaled history is now covered.
-	sess.pendingJournal = nil
-	if sess.wlog != nil && sess.wlog.ShouldSnapshot() {
-		if wsnap, err := sess.walSnapshot(snap); err == nil {
-			// A failed compaction degrades the manager but does not lose the
-			// record the client is about to be acked for.
-			sess.wlog.WriteSnapshot(wsnap) //nolint:errcheck // degradation recorded by the manager
-		}
-	}
-	return rec, nil
 }
 
 // rememberUnjournaled records a batch whose network mutations landed without
@@ -141,77 +91,28 @@ func (sess *session) rememberUnjournaled(batch []*deltaReq) {
 	}
 }
 
-// Restore registers a session recovered by wal.Recover: the optimiser is
-// rebuilt around the recovered network and seeded with the recovered
-// assignment (no re-solve — the recovered state is served verbatim, which is
-// what lets the crash-recovery smoke assert identical assignment hashes),
-// and the session resumes journaling on the recovered log handle.
+// Restore registers a session recovered by wal.Recover at exactly the
+// recovered state (no re-solve — which is what lets the crash-recovery smoke
+// assert identical assignment hashes), journaling onward on the recovered log
+// handle.  The server's role decides the rest: a primary gets its optimiser
+// back, a follower (SetFollower comes before recovery at boot) keeps a
+// replica that ReplicaApply advances and Promote later makes writable.
 func (s *Server) Restore(rec *wal.Recovered) error {
-	meta := rec.Snapshot
-	if !validSessionID(meta.ID) {
-		return fmt.Errorf("serve: invalid recovered session id %q", meta.ID)
-	}
-	solver, err := core.ParseSolver(meta.Solver)
+	sess, err := s.adopt(rec.Snapshot, rec.Net, rec.Constraints, rec.Log)
 	if err != nil {
-		return fmt.Errorf("serve: session %s: %w", meta.ID, err)
+		return fmt.Errorf("serve: session %s: %w", rec.Snapshot.ID, err)
 	}
-	var simSpec *SimilaritySpec
-	if len(meta.Similarity) > 0 {
-		simSpec = &SimilaritySpec{}
-		if err := json.Unmarshal(meta.Similarity, simSpec); err != nil {
-			return fmt.Errorf("serve: session %s: decode similarity spec: %w", meta.ID, err)
+	defer sess.unlock()
+	if s.role.Load() == rolePrimary {
+		if err := sess.attachOptimizer(); err != nil {
+			return fmt.Errorf("serve: session %s: %w", sess.id, err)
 		}
 	}
-	sim, err := buildSimilarity(simSpec, rec.Net)
-	if err != nil {
-		return fmt.Errorf("serve: session %s: %w", meta.ID, err)
-	}
-	sess := &session{
-		id:      meta.ID,
-		solver:  meta.Solver,
-		seed:    meta.Seed,
-		writer:  make(chan struct{}, 1),
-		net:     rec.Net,
-		cs:      rec.Constraints,
-		sim:     sim,
-		simSpec: simSpec,
-		maxIter: meta.MaxIterations,
-		wlog:    rec.Log,
-	}
-	sess.replicated = s.cfg.Replicator != nil
-	opts := core.Options{
-		Solver:        solver,
-		MaxIterations: meta.MaxIterations,
-		Seed:          meta.Seed,
-		Checkpoint:    sess.checkpoint,
-	}
-	opt, err := core.NewOptimizer(rec.Net, sim, opts)
-	if err != nil {
-		return fmt.Errorf("serve: session %s: %w", meta.ID, err)
-	}
-	if rec.Constraints != nil && !rec.Constraints.Empty() {
-		if err := opt.SetConstraints(rec.Constraints); err != nil {
-			return fmt.Errorf("serve: session %s: %w", meta.ID, err)
-		}
-	}
-	opt.RestoreAssignment(meta.Assignment, meta.Energy)
-	sess.opt = opt
-	sess.writer <- struct{}{} // pre-held until the recovered snapshot is published
 	if err := s.store.put(sess); err != nil {
-		sess.unlock()
-		return fmt.Errorf("serve: session %s: %w", meta.ID, err)
+		return fmt.Errorf("serve: session %s: %w", sess.id, err)
 	}
-	sess.install(snapshot{
-		version:    meta.Version,
-		energy:     meta.Energy,
-		assignment: meta.Assignment.Clone(),
-		hash:       meta.Hash,
-		hosts:      rec.Net.NumHosts(),
-		links:      rec.Net.NumLinks(),
-	})
 	if rep := s.cfg.Replicator; rep != nil {
-		rep.SessionCreated(meta)
+		rep.SessionCreated(rec.Snapshot)
 	}
-	sess.unlock()
 	return nil
 }

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
-	"netdiversity/internal/core"
 	"netdiversity/internal/netmodel"
 	"netdiversity/internal/wal"
 )
@@ -94,11 +92,9 @@ func (s *Server) replicaCtx() (context.Context, context.CancelFunc) {
 // assignment is verified against the snapshot hash and the network shape,
 // and the published state appears exactly as the primary served it — no
 // optimiser, no solve.  With persistence enabled the snapshot is journaled
-// first, so a follower restart recovers its replicas locally.
+// first, so a follower restart recovers its replicas locally; a degraded
+// node refuses up front and keeps serving the replica it has.
 func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
-	if !validSessionID(snap.ID) {
-		return fmt.Errorf("serve: invalid replica session id %q", snap.ID)
-	}
 	if snap.Assignment == nil {
 		return fmt.Errorf("serve: replica snapshot %s carries no assignment", snap.ID)
 	}
@@ -112,39 +108,14 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 	if err := snap.Assignment.ValidateFor(net); err != nil {
 		return fmt.Errorf("serve: replica snapshot %s: %w", snap.ID, err)
 	}
-	var simSpec *SimilaritySpec
-	if len(snap.Similarity) > 0 {
-		simSpec = &SimilaritySpec{}
-		if err := json.Unmarshal(snap.Similarity, simSpec); err != nil {
-			return fmt.Errorf("serve: replica snapshot %s: decode similarity spec: %w", snap.ID, err)
-		}
+	if s.cfg.Persist != nil && s.cfg.Persist.Degraded() {
+		return fmt.Errorf("serve: replica snapshot %s: %w", snap.ID, wal.ErrDegraded)
 	}
-	sim, err := buildSimilarity(simSpec, net)
+	sess, err := s.adopt(snap, net, cs, nil)
 	if err != nil {
 		return fmt.Errorf("serve: replica snapshot %s: %w", snap.ID, err)
 	}
-	sess := &session{
-		id:      snap.ID,
-		solver:  snap.Solver,
-		seed:    snap.Seed,
-		writer:  make(chan struct{}, 1),
-		net:     net,
-		cs:      cs,
-		sim:     sim,
-		simSpec: simSpec,
-		maxIter: snap.MaxIterations,
-	}
-	sess.replicated = s.cfg.Replicator != nil
-	sess.writer <- struct{}{} // pre-held until the replica is in the store
 	defer sess.unlock()
-	sess.install(snapshot{
-		version:    snap.Version,
-		energy:     snap.Energy,
-		assignment: snap.Assignment.Clone(),
-		hash:       snap.Hash,
-		hosts:      net.NumHosts(),
-		links:      net.NumLinks(),
-	})
 	// Full sync replaces whatever incarnation is live.  The old one is closed
 	// under its writer slot exactly like DELETE, so in-flight work observes
 	// closed — but it stays in the store, serving its last snapshot to
@@ -164,30 +135,31 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 		// already took it out of the store: insert like a new session.
 		live = !old.closed
 	}
-	if live {
-		old.closed = true
-		if s.cfg.Persist != nil {
-			s.cfg.Persist.Remove(old.id) //nolint:errcheck // failure degrades the manager
+	// current is the incarnation holding the store entry until the swap.
+	current := old
+	if !live {
+		if err := s.store.put(sess); err != nil {
+			return fmt.Errorf("serve: replica session %s: %w", snap.ID, err)
 		}
-	} else if err := s.store.put(sess); err != nil {
-		return fmt.Errorf("serve: replica session %s: %w", snap.ID, err)
+		current = sess
 	}
 	if s.cfg.Persist != nil {
+		if live {
+			// The old incarnation's log handle must be closed before Create
+			// registers the new one under the same ID, or its open segment
+			// leaks.
+			s.cfg.Persist.Remove(old.id) //nolint:errcheck // failure degrades the manager
+		}
 		l, err := s.cfg.Persist.Create(snap)
 		if err != nil {
-			sess.closed = true
-			s.store.remove(snap.ID)
-			if live {
-				s.dropCaches(old)
-				if rep := s.cfg.Replicator; rep != nil {
-					rep.SessionDeleted(snap.ID)
-				}
-			}
+			// Neither incarnation has on-disk state any more.
+			s.retire(current)
 			return persistFailed(err)
 		}
 		sess.wlog = l
 	}
 	if live {
+		old.closed = true
 		s.store.replace(sess)
 		s.dropCaches(old)
 	}
@@ -198,13 +170,16 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 }
 
 // ReplicaApply advances a replica session by one committed record through
-// the deterministic replay path: the record's deltas mutate the network, the
-// assignment patch folds onto a clone of the published assignment, and the
-// result must reproduce the record's hash before anything becomes visible —
-// the same end-to-end check recovery applies to the on-disk log.  A record
-// that fails replay poisons the session (it is dropped, forcing the next
-// anti-entropy round to full-sync); a chain gap is a plain error the caller
-// repairs by fetching the missing records.
+// the deterministic replay path, in the order verify → journal → mutate →
+// install.  The assignment patch folds onto a clone of the published
+// assignment and must reproduce the record's hash — the same end-to-end check
+// recovery applies to the on-disk log — before anything is touched, so a
+// chain gap (the caller fetches the missing records), a hash mismatch (the
+// caller resyncs) and a failed append (the node is degraded) all leave the
+// replica serving exactly what it served.  Only then do the record's deltas
+// mutate the network; a failure there leaves it inconsistent with a record
+// already journaled, so the session is retired and the next anti-entropy
+// round full-syncs it.
 func (s *Server) ReplicaApply(id string, rec *wal.Record) error {
 	sess, ok := s.store.get(id)
 	if !ok {
@@ -223,68 +198,25 @@ func (s *Server) ReplicaApply(id string, rec *wal.Record) error {
 		return errNotReplica
 	}
 	snap := sess.snap.Load()
-	if snap == nil || rec.PrevVersion != snap.version {
-		have := uint64(0)
-		if snap != nil {
-			have = snap.version
-		}
-		return fmt.Errorf("serve: replica %s record chains from %d, replica is at %d", id, rec.PrevVersion, have)
-	}
-	// From the first delta the network is mutating: any failure from here on
-	// leaves the replica inconsistent, so the session is dropped and the
-	// caller resyncs from a snapshot.
-	poison := func(err error) error {
-		sess.closed = true
-		s.store.remove(sess.id)
-		s.dropCaches(sess)
-		if s.cfg.Persist != nil {
-			s.cfg.Persist.Remove(sess.id) //nolint:errcheck // failure degrades the manager
-		}
-		if rep := s.cfg.Replicator; rep != nil {
-			rep.SessionDeleted(sess.id)
-		}
-		return err
-	}
-	for i, d := range rec.Deltas {
-		if err := d.Apply(sess.net); err != nil {
-			return poison(fmt.Errorf("serve: replica %s record %d delta %d: %w", id, rec.Version, i, err))
-		}
+	if rec.PrevVersion != snap.version {
+		return fmt.Errorf("serve: replica %s record chains from %d, replica is at %d", id, rec.PrevVersion, snap.version)
 	}
 	a := snap.assignment.Clone()
-	a.ApplyPatch(rec.Changed, rec.Removed)
-	if got := a.Hash(); got != rec.Hash {
-		return poison(fmt.Errorf("serve: replica %s record %d replayed hash %s != journaled %s", id, rec.Version, got, rec.Hash))
+	if err := rec.Patch(a); err != nil {
+		return fmt.Errorf("serve: replica %s: %w", id, err)
 	}
-	next := snapshot{
-		version:    rec.Version,
-		energy:     rec.Energy,
-		assignment: a,
-		hash:       rec.Hash,
-		hosts:      sess.net.NumHosts(),
-		links:      sess.net.NumLinks(),
-	}
-	if sess.wlog != nil {
-		// Durability before visibility, exactly like the primary's publish:
-		// the identical record lands in the follower's own log, so a follower
-		// restart recovers to the same replicated state.
-		if err := sess.wlog.Append(rec); err != nil {
-			return persistFailed(err)
+	next := snapshot{version: rec.Version, energy: rec.Energy, assignment: a, hash: rec.Hash}
+	return s.publish(sess, rec, next, func() error {
+		if err := rec.ApplyDeltas(sess.net); err != nil {
+			s.retire(sess)
+			return fmt.Errorf("serve: replica %s: %w", id, err)
 		}
-		if sess.wlog.ShouldSnapshot() {
-			if wsnap, err := sess.walSnapshot(next); err == nil {
-				sess.wlog.WriteSnapshot(wsnap) //nolint:errcheck // degradation recorded by the manager
-			}
-		}
-	}
-	sess.install(next)
-	if rep := s.cfg.Replicator; rep != nil {
-		rep.RecordCommitted(sess.id, rec)
-	}
-	return nil
+		return nil
+	})
 }
 
-// ReplicaDelete removes a session on a follower (the primary deleted it, or
-// a full sync is replacing it).  Unknown sessions are a no-op.
+// ReplicaDelete removes a session on a follower (the primary deleted it).
+// Unknown sessions are a no-op.
 func (s *Server) ReplicaDelete(id string) error {
 	sess, ok := s.store.get(id)
 	if !ok {
@@ -295,17 +227,7 @@ func (s *Server) ReplicaDelete(id string) error {
 	if err := sess.lock(ctx); err != nil {
 		return err
 	}
-	if !sess.closed {
-		sess.closed = true
-		s.store.remove(sess.id)
-		s.dropCaches(sess)
-		if s.cfg.Persist != nil {
-			s.cfg.Persist.Remove(sess.id) //nolint:errcheck // failure degrades the manager
-		}
-		if rep := s.cfg.Replicator; rep != nil {
-			rep.SessionDeleted(sess.id)
-		}
-	}
+	s.retire(sess)
 	sess.unlock()
 	return nil
 }
@@ -355,67 +277,13 @@ func (s *Server) CurrentSnapshot(id string) (*wal.SessionSnapshot, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("serve: session %q has not published yet", id)
 	}
-	return sess.walSnapshot(*snap)
-}
-
-// RestoreReplica registers a session recovered from a follower's local WAL
-// without building an optimiser: the replica keeps serving the recovered
-// snapshot and stays advanceable by ReplicaApply.  The follower counterpart
-// of Restore, used by divd boot when -follow is set.
-func (s *Server) RestoreReplica(rec *wal.Recovered) error {
-	meta := rec.Snapshot
-	if !validSessionID(meta.ID) {
-		return fmt.Errorf("serve: invalid recovered session id %q", meta.ID)
-	}
-	var simSpec *SimilaritySpec
-	if len(meta.Similarity) > 0 {
-		simSpec = &SimilaritySpec{}
-		if err := json.Unmarshal(meta.Similarity, simSpec); err != nil {
-			return fmt.Errorf("serve: session %s: decode similarity spec: %w", meta.ID, err)
-		}
-	}
-	sim, err := buildSimilarity(simSpec, rec.Net)
-	if err != nil {
-		return fmt.Errorf("serve: session %s: %w", meta.ID, err)
-	}
-	sess := &session{
-		id:      meta.ID,
-		solver:  meta.Solver,
-		seed:    meta.Seed,
-		writer:  make(chan struct{}, 1),
-		net:     rec.Net,
-		cs:      rec.Constraints,
-		sim:     sim,
-		simSpec: simSpec,
-		maxIter: meta.MaxIterations,
-		wlog:    rec.Log,
-	}
-	sess.replicated = s.cfg.Replicator != nil
-	sess.writer <- struct{}{} // pre-held until the recovered snapshot is published
-	if err := s.store.put(sess); err != nil {
-		sess.unlock()
-		return fmt.Errorf("serve: session %s: %w", meta.ID, err)
-	}
-	sess.install(snapshot{
-		version:    meta.Version,
-		energy:     meta.Energy,
-		assignment: meta.Assignment.Clone(),
-		hash:       meta.Hash,
-		hosts:      rec.Net.NumHosts(),
-		links:      rec.Net.NumLinks(),
-	})
-	if rep := s.cfg.Replicator; rep != nil {
-		rep.SessionCreated(meta)
-	}
-	sess.unlock()
-	return nil
+	return sess.walSnapshot(*snap), nil
 }
 
 // Promote turns a follower into a writable primary: every replica session
-// gets an optimiser rebuilt around its replicated network and seeded with
-// the replicated assignment (no re-solve — the promoted node serves exactly
-// the state it replicated), and the role flips so writes are accepted.
-// Returns the number of sessions promoted.  Idempotent on a primary.
+// gets its optimiser (attachOptimizer — the promoted node serves exactly the
+// state it replicated), and the role flips so writes are accepted.  Returns
+// the number of sessions promoted.  Idempotent on a primary.
 func (s *Server) Promote() (int, error) {
 	promoted := 0
 	for _, sess := range s.store.list() {
@@ -425,40 +293,16 @@ func (s *Server) Promote() (int, error) {
 		if err != nil {
 			return promoted, err
 		}
-		err = func() error {
-			defer sess.unlock()
-			if sess.closed || sess.opt != nil {
-				return nil
-			}
-			solver, err := core.ParseSolver(sess.solver)
-			if err != nil {
-				return fmt.Errorf("serve: promote %s: %w", sess.id, err)
-			}
-			opts := core.Options{
-				Solver:        solver,
-				MaxIterations: sess.maxIter,
-				Seed:          sess.seed,
-				Checkpoint:    sess.checkpoint,
-			}
-			opt, err := core.NewOptimizer(sess.net, sess.sim, opts)
-			if err != nil {
-				return fmt.Errorf("serve: promote %s: %w", sess.id, err)
-			}
-			if sess.cs != nil && !sess.cs.Empty() {
-				if err := opt.SetConstraints(sess.cs); err != nil {
-					return fmt.Errorf("serve: promote %s: %w", sess.id, err)
-				}
-			}
-			snap := sess.snap.Load()
-			if snap != nil {
-				opt.RestoreAssignment(snap.assignment.Clone(), snap.energy)
-			}
-			sess.opt = opt
-			promoted++
-			return nil
-		}()
+		replica := !sess.closed && sess.opt == nil
+		if replica {
+			err = sess.attachOptimizer()
+		}
+		sess.unlock()
 		if err != nil {
-			return promoted, err
+			return promoted, fmt.Errorf("serve: promote %s: %w", sess.id, err)
+		}
+		if replica {
+			promoted++
 		}
 	}
 	s.role.Store(rolePrimary)

@@ -47,7 +47,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -55,7 +54,6 @@ import (
 
 	"netdiversity/internal/core"
 	"netdiversity/internal/netmodel"
-	"netdiversity/internal/vulnsim"
 	"netdiversity/internal/wal"
 )
 
@@ -235,44 +233,25 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // Sessions returns the number of live sessions (exposed on /healthz).
 func (s *Server) Sessions() int { return s.store.len() }
 
-// createSession builds, registers and cold-solves a session — the one
-// construction path shared by the create endpoint and Preload.  The session
-// is inserted into the store with its writer slot already held, so no other
-// request can act on it before the first snapshot is published; on any
-// failure it is closed and removed again, and a writer that raced the
-// rollback observes the closed flag instead of an orphan.
-func (s *Server) createSession(ctx context.Context, id, solverName string,
-	net *netmodel.Network, cs *netmodel.ConstraintSet, sim *vulnsim.SimilarityTable,
-	simSpec *SimilaritySpec, opts core.Options) (*session, snapshot, core.Result, error) {
-	sess := &session{
-		id:      id,
-		solver:  solverName,
-		seed:    opts.Seed,
-		writer:  make(chan struct{}, 1),
-		net:     net,
-		cs:      cs,
-		sim:     sim,
-		simSpec: simSpec,
-		maxIter: opts.MaxIterations,
-	}
-	sess.replicated = s.cfg.Replicator != nil
-	// Every solve the session's optimiser ever runs reports to the slot
-	// grant active at that moment, so long solves yield to cheaper tenants
-	// at solver-step granularity.
-	opts.Checkpoint = sess.checkpoint
-	opt, err := core.NewOptimizer(net, sim, opts)
+// createSession builds, registers and cold-solves a session — the
+// construction path shared by the create endpoint and Preload; meta names the
+// session and carries its solver knobs and serialized similarity spec.  The
+// session is inserted into the store with its writer slot already held, so no
+// other request can act on it before the first snapshot is published; on any
+// failure it is retired again, and a writer that raced the rollback observes
+// the closed flag instead of an orphan.
+func (s *Server) createSession(ctx context.Context, meta *wal.SessionSnapshot,
+	net *netmodel.Network, cs *netmodel.ConstraintSet) (*session, *snapshot, core.Result, error) {
+	sess, err := s.adopt(meta, net, cs, nil)
 	if err != nil {
-		return nil, snapshot{}, core.Result{}, err
+		return nil, nil, core.Result{}, err
 	}
-	if cs != nil && !cs.Empty() {
-		if err := opt.SetConstraints(cs); err != nil {
-			return nil, snapshot{}, core.Result{}, err
-		}
+	defer sess.unlock()
+	if err := sess.attachOptimizer(); err != nil {
+		return nil, nil, core.Result{}, err
 	}
-	sess.opt = opt
-	sess.writer <- struct{}{} // pre-held until the first publish or rollback
 	if err := s.store.put(sess); err != nil {
-		return nil, snapshot{}, core.Result{}, err
+		return nil, nil, core.Result{}, err
 	}
 	res, err := func() (core.Result, error) {
 		done, err := s.admit(ctx, sess)
@@ -280,42 +259,31 @@ func (s *Server) createSession(ctx context.Context, id, solverName string,
 			return core.Result{}, err
 		}
 		defer done()
-		return opt.Optimize(ctx)
+		return sess.opt.Optimize(ctx)
 	}()
-	rollback := func(err error) (*session, snapshot, core.Result, error) {
-		sess.closed = true
-		s.store.remove(id)
-		s.dropCaches(sess)
-		sess.unlock()
-		return nil, snapshot{}, core.Result{}, err
-	}
 	if err != nil {
-		return rollback(err)
+		s.retire(sess)
+		return nil, nil, core.Result{}, err
 	}
 	snap := sess.buildSnapshot(1)
 	var wsnap *wal.SessionSnapshot
 	if s.cfg.Persist != nil || s.cfg.Replicator != nil {
 		// The serialized snapshot feeds persistence and replication alike.
-		wsnap, err = sess.walSnapshot(snap)
-		if err != nil {
-			return rollback(persistFailed(err))
-		}
+		wsnap = sess.walSnapshot(snap)
 	}
 	if s.cfg.Persist != nil {
 		// The session exists once (and only once) its initial snapshot is on
 		// disk: a create acked to the client survives an immediate crash.
-		l, werr := s.cfg.Persist.Create(wsnap)
-		if werr != nil {
-			return rollback(persistFailed(werr))
+		if sess.wlog, err = s.cfg.Persist.Create(wsnap); err != nil {
+			s.retire(sess)
+			return nil, nil, core.Result{}, persistFailed(err)
 		}
-		sess.wlog = l
 	}
-	sess.install(snap)
+	published := sess.install(snap)
 	if rep := s.cfg.Replicator; rep != nil {
 		rep.SessionCreated(wsnap)
 	}
-	sess.unlock()
-	return sess, snap, res, nil
+	return sess, published, res, nil
 }
 
 // admit acquires a scheduler grant sized to the session's network and
@@ -332,18 +300,12 @@ func (s *Server) admit(ctx context.Context, sess *session) (func(), error) {
 }
 
 // Preload creates and solves a session outside the HTTP surface — divd uses
-// it to come up already serving the networks named by -preload.  The solve
+// it to come up already serving the networks named by -preload — with the
+// create endpoint's defaults (trws, the paper similarity tables).  The solve
 // runs synchronously under the server's request timeout.
-func (s *Server) Preload(id string, net *netmodel.Network, cs *netmodel.ConstraintSet, sim *vulnsim.SimilarityTable, opts core.Options) error {
-	if !validSessionID(id) {
-		return fmt.Errorf("serve: invalid session id %q", id)
-	}
-	solverName := "trws"
-	if opts.Solver != 0 {
-		solverName = opts.Solver.String()
-	}
+func (s *Server) Preload(id string, net *netmodel.Network, cs *netmodel.ConstraintSet, seed int64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
-	_, _, _, err := s.createSession(ctx, id, solverName, net, cs, sim, nil, opts)
+	_, _, _, err := s.createSession(ctx, &wal.SessionSnapshot{ID: id, Solver: "trws", Seed: seed}, net, cs)
 	return err
 }

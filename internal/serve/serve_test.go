@@ -556,14 +556,14 @@ func TestAssignmentHashStable(t *testing.T) {
 	b := netmodel.NewAssignment()
 	b.Set("a", "os", "ubt1404")
 	b.Set("b", "os", "win7")
-	if AssignmentHash(a) != AssignmentHash(b) {
+	if a.Hash() != b.Hash() {
 		t.Fatal("hash depends on insertion order")
 	}
 	b.Set("b", "os", "osx109")
-	if AssignmentHash(a) == AssignmentHash(b) {
+	if a.Hash() == b.Hash() {
 		t.Fatal("hash ignores product change")
 	}
-	if AssignmentHash(nil) != "" {
+	if (*netmodel.Assignment)(nil).Hash() != "" {
 		t.Fatal("nil assignment should hash to empty string")
 	}
 }

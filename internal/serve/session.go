@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"sync/atomic"
 
 	"netdiversity/internal/core"
@@ -30,9 +32,9 @@ type session struct {
 	// already serialises.
 	wlog *wal.Log
 
-	// simSpec is the similarity spec the session was created with (nil for
-	// the paper default), kept so compacted snapshots can serialize it.
-	simSpec *SimilaritySpec
+	// simRaw is the serialized similarity spec the session was created with
+	// (empty for the paper default), kept so snapshots carry it verbatim.
+	simRaw json.RawMessage
 
 	// maxIter is the session's solver iteration budget, journaled in
 	// snapshots so a recovered session solves with the same knobs.
@@ -63,10 +65,10 @@ type session struct {
 	// replication records always carry the full network history.
 	replicated bool
 
-	// closed marks a session that was removed from the store (failed create
-	// rollback, DELETE).  Guarded by the writer slot: a writer that acquires
-	// the slot after removal observes it and treats the session as gone
-	// instead of acknowledging work on an orphan.
+	// closed marks a session that left the store (retire, or a replica full
+	// sync swapping in its successor).  Guarded by the writer slot: a writer
+	// that acquires the slot afterwards observes it and treats the session as
+	// gone instead of acknowledging work on an orphan.
 	closed bool
 
 	// pendingReopt marks a delta that was applied to the network but whose
@@ -115,8 +117,8 @@ type session struct {
 	activeGrant atomic.Pointer[grant]
 }
 
-// checkpoint is the session's solve checkpoint, wired into core.Options at
-// optimiser construction: it forwards to the scheduler grant active for the
+// checkpoint is the session's solve checkpoint, wired into core.Options by
+// attachOptimizer: it forwards to the scheduler grant active for the
 // current solve, giving the scheduler a preemption point between solver
 // steps.  Outside any grant (nothing admitted) it only propagates context
 // cancellation.
@@ -148,8 +150,10 @@ type snapshot struct {
 	energy     float64
 	assignment *netmodel.Assignment
 	hash       string
-	hosts      int
-	links      int
+	// hosts and links are the network's shape at this version, stamped by
+	// install.
+	hosts int
+	links int
 }
 
 // lock acquires the session's writer slot, honouring the context deadline.
@@ -174,37 +178,185 @@ func (s *session) unlock() { <-s.writer }
 // owned by the snapshot alone, so lock-free readers can never observe
 // optimiser-internal state no matter how core evolves.  Build and install
 // are deliberately separate steps with no combined shortcut: the persistence
-// plane journals the state in between (journalPublish), so lock-free readers
-// only ever observe durably-acked state.
+// plane journals the state in between (publish), so lock-free readers only
+// ever observe durably-acked state.
 func (s *session) buildSnapshot(n uint64) snapshot {
 	a, energy, ok := s.opt.Snapshot()
 	if !ok {
 		// Unreachable: publish follows a successful Optimize/Reoptimize.
 		a, energy = netmodel.NewAssignment(), 0
 	}
-	prev := s.snap.Load()
 	version := n
-	if prev != nil {
+	if prev := s.snap.Load(); prev != nil {
 		version = prev.version + n
 	}
-	return snapshot{
-		version:    version,
-		energy:     energy,
-		assignment: a,
-		hash:       AssignmentHash(a),
-		hosts:      s.net.NumHosts(),
-		links:      s.net.NumLinks(),
+	return snapshot{version: version, energy: energy, assignment: a, hash: a.Hash()}
+}
+
+// install publishes a built snapshot to lock-free readers, stamping it with
+// the network's current shape, and returns what it published.  Must be called
+// by the writer-slot holder, after the snapshot's WAL record (if any) is
+// durable and the network has reached the state the snapshot describes.
+func (s *session) install(snap snapshot) *snapshot {
+	snap.hosts, snap.links = s.net.NumHosts(), s.net.NumLinks()
+	s.snap.Store(&snap)
+	return &snap
+}
+
+// adopt is the one session constructor.  Every way a session comes to exist —
+// create and preload, crash recovery, a replica full sync — hands it the
+// session's serialized identity, the network built from it and the session's
+// log handle (nil until the session has on-disk state); the paths differ only
+// in what they do next.  A meta that carries an assignment (all but the cold
+// create, whose first solve is still to run) is published on the spot, so a
+// session that enters the store this way is never seen unpublished.  The
+// session is returned with its writer slot held: the caller releases it once
+// the session is in the store and fully wired.
+func (s *Server) adopt(meta *wal.SessionSnapshot, net *netmodel.Network, cs *netmodel.ConstraintSet, wlog *wal.Log) (*session, error) {
+	if !validSessionID(meta.ID) {
+		return nil, fmt.Errorf("invalid session id %q", meta.ID)
+	}
+	var simSpec *SimilaritySpec
+	if len(meta.Similarity) > 0 {
+		simSpec = &SimilaritySpec{}
+		if err := json.Unmarshal(meta.Similarity, simSpec); err != nil {
+			return nil, fmt.Errorf("decode similarity spec: %w", err)
+		}
+	}
+	sim, err := buildSimilarity(simSpec, net)
+	if err != nil {
+		return nil, err
+	}
+	sess := &session{
+		id:         meta.ID,
+		solver:     meta.Solver,
+		seed:       meta.Seed,
+		maxIter:    meta.MaxIterations,
+		simRaw:     meta.Similarity,
+		writer:     make(chan struct{}, 1),
+		wlog:       wlog,
+		net:        net,
+		cs:         cs,
+		sim:        sim,
+		replicated: s.cfg.Replicator != nil,
+	}
+	sess.writer <- struct{}{}
+	if meta.Assignment != nil {
+		sess.install(snapshot{
+			version:    meta.Version,
+			energy:     meta.Energy,
+			assignment: meta.Assignment.Clone(),
+			hash:       meta.Hash,
+		})
+	}
+	return sess, nil
+}
+
+// attachOptimizer makes the session writable: an optimiser is built around
+// the session's network with its journaled solver knobs and, when the session
+// is already published, seeded with the published assignment — no re-solve,
+// the session keeps serving exactly the state it recovered or replicated.
+// Every solve the optimiser ever runs reports to the scheduler grant active at
+// that moment (checkpoint), so long solves yield to cheaper tenants at
+// solver-step granularity.  Called under the writer slot.
+func (s *session) attachOptimizer() error {
+	solver, err := core.ParseSolver(s.solver)
+	if err != nil {
+		return err
+	}
+	opt, err := core.NewOptimizer(s.net, s.sim, core.Options{
+		Solver:        solver,
+		MaxIterations: s.maxIter,
+		Seed:          s.seed,
+		Checkpoint:    s.checkpoint,
+	})
+	if err != nil {
+		return err
+	}
+	if s.cs != nil && !s.cs.Empty() {
+		if err := opt.SetConstraints(s.cs); err != nil {
+			return err
+		}
+	}
+	if snap := s.snap.Load(); snap != nil {
+		opt.RestoreAssignment(snap.assignment, snap.energy)
+	}
+	s.opt = opt
+	return nil
+}
+
+// walSnapshot serializes the session's full state at a published snapshot —
+// the payload of the create-time snapshot, every compaction and a replication
+// full sync.  Called under the writer slot; snap.assignment is immutable
+// post-build, so sharing the pointer with the marshaller is safe.
+func (s *session) walSnapshot(snap snapshot) *wal.SessionSnapshot {
+	return &wal.SessionSnapshot{
+		ID:            s.id,
+		Solver:        s.solver,
+		Seed:          s.seed,
+		MaxIterations: s.maxIter,
+		Version:       snap.version,
+		Energy:        snap.energy,
+		Hash:          snap.hash,
+		Spec:          netmodel.ToSpec(s.net, s.cs),
+		Assignment:    snap.assignment,
+		Similarity:    s.simRaw,
 	}
 }
 
-// install publishes a built snapshot to lock-free readers.  Must be called
-// by the writer-slot holder, after the snapshot's WAL record (if any) is
-// durable.
-func (s *session) install(snap snapshot) { s.snap.Store(&snap) }
+// publish commits one record — the only way a published session advances.
+// The order is the durability contract: journal → install → replicate.  The
+// record must be in the session's log (per the fsync policy) before the
+// snapshot becomes visible or any ack goes out; on an append failure nothing
+// was touched — readers keep the previous state and the manager is degraded.
+// A primary passes a nil mutate (its network moved before the solve); a
+// follower passes the record's network replay, which has to sit between the
+// append and the compaction because the compacted snapshot serializes
+// sess.net.  Compaction is best effort: a failure degrades the manager but
+// does not lose the record the caller is about to ack.  rec is nil only on a
+// memory-only server without a Replicator.  Called under the writer slot.
+func (s *Server) publish(sess *session, rec *wal.Record, next snapshot, mutate func() error) error {
+	if sess.wlog != nil {
+		if err := sess.wlog.Append(rec); err != nil {
+			return persistFailed(err)
+		}
+	}
+	if mutate != nil {
+		if err := mutate(); err != nil {
+			return err
+		}
+	}
+	// The record covers every delta that reached the network, including a
+	// timed-out batch's (pendingJournal): the session is consistent again.
+	sess.pendingJournal = nil
+	sess.pendingReopt = false
+	if sess.wlog != nil && sess.wlog.ShouldSnapshot() {
+		sess.wlog.WriteSnapshot(sess.walSnapshot(next)) //nolint:errcheck // degradation recorded by the manager
+	}
+	sess.install(next)
+	if rep := s.cfg.Replicator; rep != nil && rec != nil {
+		rep.RecordCommitted(sess.id, rec)
+	}
+	return nil
+}
 
-// AssignmentHash returns a stable FNV-1a hash of an assignment — the
-// fingerprint the API exposes so clients (and the CI smoke test) can assert
-// deterministic results without diffing the whole assignment.  It delegates
-// to netmodel.Assignment.Hash, the shared implementation the WAL recovery
-// path verifies replayed state against.
-func AssignmentHash(a *netmodel.Assignment) string { return a.Hash() }
+// retire takes a session out of service: closed, out of the store, its cache
+// charge returned, its on-disk state removed and the Replicator told.
+// Everything runs under the session's writer slot (held by the caller), so an
+// in-flight write either completed before or observes closed after, and a
+// crash between an acked DELETE and the directory removal at worst resurrects
+// the session — never the other way round.  Idempotent.
+func (s *Server) retire(sess *session) {
+	if sess.closed {
+		return
+	}
+	sess.closed = true
+	s.store.remove(sess.id)
+	s.dropCaches(sess)
+	if s.cfg.Persist != nil {
+		s.cfg.Persist.Remove(sess.id) //nolint:errcheck // failure degrades the manager
+	}
+	if rep := s.cfg.Replicator; rep != nil {
+		rep.SessionDeleted(sess.id)
+	}
+}

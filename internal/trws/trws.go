@@ -12,7 +12,6 @@
 package trws
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -23,44 +22,6 @@ import (
 
 func init() {
 	solve.Register("trws", func() solve.Kernel { return &Kernel{} })
-}
-
-// Options configures the solver (thin compatibility wrapper over the unified
-// solve.Options).
-type Options struct {
-	// MaxIterations bounds the number of forward+backward sweeps.
-	// Default 100.
-	MaxIterations int
-	// Tolerance stops the solver once the best energy improves by less than
-	// this amount over Patience consecutive iterations.  Default 1e-6.
-	Tolerance float64
-	// Patience is the number of non-improving iterations tolerated before
-	// declaring convergence.  Default 5.
-	Patience int
-	// Workers sets the number of goroutines used to compute outgoing
-	// messages of a node in parallel.  Values <= 1 run serially.
-	Workers int
-}
-
-// ErrNilGraph is returned when Solve is called with a nil graph.
-var ErrNilGraph = solve.ErrNilGraph
-
-// Solve minimises the MRF energy with TRW-S and returns the best labeling
-// found.
-func Solve(g *mrf.Graph, opts Options) (mrf.Solution, error) {
-	return SolveContext(context.Background(), g, opts)
-}
-
-// SolveContext is Solve with cancellation: the driver checks the context
-// between iterations and returns the best solution found so far together
-// with the context error when cancelled.
-func SolveContext(ctx context.Context, g *mrf.Graph, opts Options) (mrf.Solution, error) {
-	return solve.Run(ctx, g, solve.Options{
-		MaxIterations: opts.MaxIterations,
-		Tolerance:     opts.Tolerance,
-		Patience:      opts.Patience,
-		Workers:       opts.Workers,
-	}, &Kernel{})
 }
 
 // Kernel is the TRW-S message-passing kernel.

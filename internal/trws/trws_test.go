@@ -10,7 +10,13 @@ import (
 
 	"netdiversity/internal/mrf"
 	"netdiversity/internal/mrf/mrftest"
+	"netdiversity/internal/solve"
 )
+
+// run solves g with this package's kernel through the shared driver.
+func run(g *mrf.Graph, opts solve.Options) (mrf.Solution, error) {
+	return solve.Run(context.Background(), g, opts, &Kernel{})
+}
 
 // bruteForce finds the exact minimum energy by enumeration (only usable for
 // tiny graphs).
@@ -76,12 +82,12 @@ func randomGraph(t *testing.T, rng *rand.Rand, nodes, labels int) *mrf.Graph {
 }
 
 func TestSolveNilAndInvalid(t *testing.T) {
-	if _, err := Solve(nil, Options{}); !errors.Is(err, ErrNilGraph) {
+	if _, err := run(nil, solve.Options{}); !errors.Is(err, solve.ErrNilGraph) {
 		t.Errorf("nil graph should return ErrNilGraph, got %v", err)
 	}
 	g, _ := mrf.NewGraph([]int{2})
 	_ = g.SetUnary(0, 0, math.NaN())
-	if _, err := Solve(g, Options{}); err == nil {
+	if _, err := run(g, solve.Options{}); err == nil {
 		t.Error("invalid graph should be rejected")
 	}
 }
@@ -111,7 +117,7 @@ func TestSolveChainExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sol, err := Solve(g, Options{MaxIterations: 50})
+	sol, err := run(g, solve.Options{MaxIterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +147,7 @@ func TestSolveDiversificationInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sol, err := Solve(g, Options{})
+	sol, err := run(g, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestSolveRespectsHardConstraints(t *testing.T) {
 	if _, err := g.AddEdge(0, 1, mrf.PottsCost(2, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(g, Options{})
+	sol, err := run(g, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestSolveNeverWorseThanGreedy(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(t, rng, 8, 3)
-		sol, err := Solve(g, Options{MaxIterations: 30})
+		sol, err := run(g, solve.Options{MaxIterations: 30})
 		if err != nil {
 			return false
 		}
@@ -193,7 +199,7 @@ func TestSolveNearOptimalOnSmallLoopyGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(t, rng, 7, 2)
-		sol, err := Solve(g, Options{MaxIterations: 60})
+		sol, err := run(g, solve.Options{MaxIterations: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,11 +218,11 @@ func TestSolveNearOptimalOnSmallLoopyGraphs(t *testing.T) {
 func TestSolveWorkersMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomGraph(t, rng, 12, 4)
-	serial, err := Solve(g, Options{MaxIterations: 20, Workers: 1})
+	serial, err := run(g, solve.Options{MaxIterations: 20, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Solve(g, Options{MaxIterations: 20, Workers: 4})
+	parallel, err := run(g, solve.Options{MaxIterations: 20, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +236,7 @@ func TestSolveContextCancellation(t *testing.T) {
 	g := randomGraph(t, rng, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveContext(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := solve.Run(ctx, g, solve.Options{}, &Kernel{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context should surface context.Canceled, got %v", err)
 	}
 }
@@ -242,7 +248,7 @@ func TestSolveIsolatedNodes(t *testing.T) {
 	}
 	_ = g.SetUnary(0, 2, -1)
 	_ = g.SetUnary(1, 1, -2)
-	sol, err := Solve(g, Options{})
+	sol, err := run(g, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestSolveIsolatedNodes(t *testing.T) {
 func TestEnergyHistoryMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(t, rng, 10, 3)
-	sol, err := Solve(g, Options{MaxIterations: 25})
+	sol, err := run(g, solve.Options{MaxIterations: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +278,7 @@ func benchmarkSolve(b *testing.B, labels int) {
 	g := mrftest.BenchGraph(b, 400, labels)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g, Options{MaxIterations: 10, Patience: 10}); err != nil {
+		if _, err := run(g, solve.Options{MaxIterations: 10, Patience: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -276,11 +276,11 @@ func TestRotateAccountsSyncedBytes(t *testing.T) {
 	var lastFrame int
 	for v := uint64(1); v < 4; v++ {
 		rec := patchRecord(cur, v, "h0", []netmodel.ProductID{"win7", "ubt1404", "osx109"}[v%3])
-		payload, err := encodeRecord(rec)
+		payload, err := rec.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastFrame = len(appendFrame(nil, payload))
+		lastFrame = len(AppendFrame(nil, payload))
 		if err := l.Append(rec); err != nil {
 			t.Fatalf("Append v%d: %v", v, err)
 		}

@@ -14,11 +14,11 @@ import (
 // be stable — in particular a frame that round-trips must come back intact,
 // and any bit flip inside it must read as corruption, never as data.
 func FuzzReadFrame(f *testing.F) {
-	whole := appendFrame(nil, []byte(`{"prev_version":1,"version":2,"hash":"ab"}`))
+	whole := AppendFrame(nil, []byte(`{"prev_version":1,"version":2,"hash":"ab"}`))
 	f.Add(whole)
 	f.Add(whole[:len(whole)-4])            // torn payload
 	f.Add(whole[:frameHeaderSize-2])       // torn header
-	f.Add(appendFrame(whole, []byte(`x`))) // two frames
+	f.Add(AppendFrame(whole, []byte(`x`))) // two frames
 	flipped := append([]byte(nil), whole...)
 	flipped[frameHeaderSize+3] ^= 0x08 // bit-flipped payload => CRC mismatch
 	f.Add(flipped)
@@ -30,7 +30,7 @@ func FuzzReadFrame(f *testing.F) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		frames := 0
 		for {
-			payload, err := readFrame(r)
+			payload, err := ReadFrame(r)
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("unclassified frame error: %v", err)
@@ -42,7 +42,7 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame payload of %d bytes exceeds the record bound", len(payload))
 			}
 			// A frame that read back must re-frame to the identical bytes.
-			if rt := appendFrame(nil, payload); len(rt) != frameHeaderSize+len(payload) {
+			if rt := AppendFrame(nil, payload); len(rt) != frameHeaderSize+len(payload) {
 				t.Fatalf("re-framed length %d for %d payload bytes", len(rt), len(payload))
 			}
 			if frames > 1<<16 {

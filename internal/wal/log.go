@@ -43,7 +43,7 @@ func (l *Log) Version() uint64 {
 // record may be partially on disk (a torn tail recovery will drop), so no
 // further appends are accepted until a restart re-establishes disk state.
 func (l *Log) Append(rec *Record) error {
-	payload, err := encodeRecord(rec)
+	payload, err := rec.Encode()
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func (l *Log) Append(rec *Record) error {
 			return err
 		}
 	}
-	l.buf = appendFrame(l.buf[:0], payload)
+	l.buf = AppendFrame(l.buf[:0], payload)
 	n, werr := l.f.Write(l.buf)
 	l.segBytes += int64(n)
 	l.unsynced += int64(n)

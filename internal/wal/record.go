@@ -33,26 +33,19 @@ const MaxRecordBytes = 32 << 20
 var ErrTorn = errors.New("wal: torn record")
 
 // ErrCorrupt marks a frame whose bytes are present but wrong: checksum
-// mismatch or an absurd declared length.  Recovery stops replay at the first
-// corrupt frame and keeps the state accumulated so far.
+// mismatch or an absurd declared length.  Like a torn frame it ends replay of
+// its segment only — it may sit in a stale tail an earlier recovery already
+// rotated past, so later segments are still offered to the PrevVersion chain
+// check — and the state accumulated so far is kept.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends payload to dst as one length-prefixed, CRC32C-checked
-// frame — the exact on-disk log framing, exported so the replication plane
-// (internal/replic) ships records and snapshots over the wire with the same
-// torn/corrupt detection the recovery path already trusts.
-func AppendFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) }
-
-// ReadFrame reads one frame from r and returns its payload.  io.EOF means a
-// clean end exactly at a frame boundary; ErrTorn and ErrCorrupt mean what
-// they mean on disk.  The exported counterpart of the segment reader, used
-// by the replication plane to consume framed streams off the wire.
-func ReadFrame(r *bufio.Reader) ([]byte, error) { return readFrame(r) }
-
-// appendFrame appends the framed payload to dst and returns the result.
-func appendFrame(dst, payload []byte) []byte {
+// frame and returns the result.  It is the on-disk log framing and, through
+// internal/replic, the wire framing too, so records and snapshots in flight
+// get the same torn/corrupt detection the recovery path already trusts.
+func AppendFrame(dst, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -60,10 +53,10 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// readFrame reads one frame, returning its payload.  io.EOF means a clean
-// end exactly at a frame boundary; ErrTorn means the file ends inside a
+// ReadFrame reads one frame, returning its payload.  io.EOF means a clean
+// end exactly at a frame boundary; ErrTorn means the input ends inside a
 // frame; ErrCorrupt means the frame is complete but fails validation.
-func readFrame(r *bufio.Reader) ([]byte, error) {
+func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -86,11 +79,36 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// ScanFrames is the one frame-stream loop: it hands each payload of r to fn
+// until the stream ends cleanly at a frame boundary (nil).  A torn or corrupt
+// frame, an fn error, or more than limit frames stops the scan and is
+// returned; what a bad frame means is the caller's call — segment replay
+// treats it as the end of that segment, a replication stream as a failed
+// transfer.
+func ScanFrames(r io.Reader, limit int, fn func(payload []byte) error) error {
+	br := bufio.NewReader(r)
+	for n := 0; ; n++ {
+		payload, err := ReadFrame(br)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if n >= limit {
+			return fmt.Errorf("wal: framed stream exceeds %d frames", limit)
+		}
+		if err := fn(payload); err != nil {
+			return err
+		}
+	}
+}
+
 // Record is one durable unit of the per-session log: the accepted delta
 // batch of a single ApplyDeltaBatch plus the resulting published state.  The
 // assignment is journaled as a host-level diff against the previous record
 // (netmodel.Assignment.DiffHosts), so replay folds records forward with
-// ApplyPatch instead of re-running the solver — recovery is deterministic
+// Patch and ApplyDeltas instead of re-running the solver — recovery is deterministic
 // byte-replay, independent of solver seeds and iteration budgets.
 type Record struct {
 	// PrevVersion/Version chain records: a record applies to state at
@@ -127,9 +145,44 @@ func (r *Record) validate() error {
 	return nil
 }
 
+// Patch folds the record's assignment diff into a, in place, and verifies
+// the result against the journaled hash — the end-to-end check every replay
+// path (boot recovery, replica apply) runs before trusting a record.  On a
+// mismatch a holds the rejected state; callers patch a clone, or restart.
+func (r *Record) Patch(a *netmodel.Assignment) error {
+	a.ApplyPatch(r.Changed, r.Removed)
+	if got := a.Hash(); got != r.Hash {
+		return fmt.Errorf("wal: record %d replayed hash %s != journaled %s", r.Version, got, r.Hash)
+	}
+	return nil
+}
+
+// ApplyDeltas replays the record's accepted delta batch against net.  A
+// failure leaves net holding a prefix of the batch.
+func (r *Record) ApplyDeltas(net *netmodel.Network) error {
+	for i, d := range r.Deltas {
+		if err := d.Apply(net); err != nil {
+			return fmt.Errorf("wal: record %d delta %d: %w", r.Version, i, err)
+		}
+	}
+	return nil
+}
+
 // Encode validates the record and returns its canonical JSON payload — the
 // bytes a frame carries, identical on disk and on the replication wire.
-func (r *Record) Encode() ([]byte, error) { return encodeRecord(r) }
+func (r *Record) Encode() ([]byte, error) {
+	if err := r.validate(); err != nil {
+		return nil, err
+	}
+	payload, err := json.Marshal(r)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encode record: %w", err)
+	}
+	if len(payload) > MaxRecordBytes {
+		return nil, fmt.Errorf("wal: record payload %d bytes exceeds limit", len(payload))
+	}
+	return payload, nil
+}
 
 // DecodeRecord decodes a frame payload back into a Record.  Malformed JSON
 // is reported as ErrCorrupt, mirroring the recovery path; the decoded record
@@ -144,20 +197,6 @@ func DecodeRecord(payload []byte) (*Record, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return rec, nil
-}
-
-func encodeRecord(r *Record) ([]byte, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encode record: %w", err)
-	}
-	if len(payload) > MaxRecordBytes {
-		return nil, fmt.Errorf("wal: record payload %d bytes exceeds limit", len(payload))
-	}
-	return payload, nil
 }
 
 func decodeRecord(payload []byte) (*Record, error) {

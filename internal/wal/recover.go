@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -148,18 +146,21 @@ func (m *Manager) recoverSession(id string) (*Recovered, error) {
 	return nil, fmt.Errorf("wal: session %s: no usable snapshot: %w", id, lastErr)
 }
 
-// errHashMismatch is an internal replay signal: record k replayed cleanly at
-// the framing level but its journaled assignment hash does not match the
+// errHashMismatch is an internal replay signal: record index replayed cleanly
+// at the framing level but its journaled assignment hash does not match the
 // replayed state.  Replay restarts with a limit that excludes the record.
 type errHashMismatch struct {
 	index int
-	got   string
-	want  string
+	err   error
 }
 
 func (e *errHashMismatch) Error() string {
-	return fmt.Sprintf("wal: replay hash mismatch at record %d: got %s want %s", e.index, e.got, e.want)
+	return fmt.Sprintf("wal: replay record %d: %v", e.index, e.err)
 }
+
+// errStopReplay is the apply callback's signal that nothing later in the
+// session's log can apply (chain gap, replay limit).
+var errStopReplay = errors.New("wal: stop replay")
 
 // replaySession folds the log tail into the snapshot.  On a hash mismatch
 // at record k the replay restarts excluding records k and beyond — the
@@ -189,33 +190,28 @@ func (m *Manager) replayOnce(snap *SessionSnapshot, segs []segment, limit int) (
 	torn := false
 
 	for _, seg := range segs {
-		stop, segTorn, err := m.replaySegment(seg.path, func(r *Record) (bool, error) {
+		stop, segTorn, err := m.replaySegment(seg.path, func(r *Record) error {
 			if r.Version <= version {
 				// Already folded into the snapshot (pre-compaction segment
 				// whose deletion failed); skip.
-				return true, nil
+				return nil
 			}
-			if r.PrevVersion != version {
-				// Chain gap: a segment from a previous incarnation or a
-				// corrupt run. Nothing after it can apply.
-				return false, nil
+			if r.PrevVersion != version || replayed >= limit {
+				// Chain gap (a segment from a previous incarnation or a
+				// corrupt run) or the replay limit: nothing after it can
+				// apply.
+				return errStopReplay
 			}
-			if replayed >= limit {
-				return false, nil
+			if err := r.ApplyDeltas(net); err != nil {
+				return err
 			}
-			for _, d := range r.Deltas {
-				if err := d.Apply(net); err != nil {
-					return false, fmt.Errorf("wal: replay delta: %w", err)
-				}
-			}
-			assignment.ApplyPatch(r.Changed, r.Removed)
-			if got := assignment.Hash(); got != r.Hash {
-				return false, &errHashMismatch{index: replayed, got: got, want: r.Hash}
+			if err := r.Patch(assignment); err != nil {
+				return &errHashMismatch{index: replayed, err: err}
 			}
 			version = r.Version
 			energy = r.Energy
 			replayed++
-			return true, nil
+			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -255,39 +251,28 @@ func (m *Manager) replayOnce(snap *SessionSnapshot, segs []segment, limit int) (
 	}, nil
 }
 
-// replaySegment streams one segment's frames into apply.  apply returns
-// (continue, error); a false continue stops the whole replay.  A torn or
-// corrupt frame ends the segment (torn=true) without error — the caller
-// decides that replay ends there.
-func (m *Manager) replaySegment(path string, apply func(*Record) (bool, error)) (stop, torn bool, err error) {
+// replaySegment streams one segment's records into apply.  errStopReplay from
+// apply ends the whole replay (stop=true); any other apply error is returned.
+// A torn or corrupt frame — bad framing, or framing that passed around JSON
+// that did not — ends the segment (torn=true) without error.
+func (m *Manager) replaySegment(path string, apply func(*Record) error) (stop, torn bool, err error) {
 	f, err := m.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return false, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	for {
-		payload, err := readFrame(br)
-		if err == io.EOF {
-			return false, false, nil
-		}
-		if errors.Is(err, ErrTorn) || errors.Is(err, ErrCorrupt) {
-			return false, true, nil
-		}
-		if err != nil {
-			return false, false, err
-		}
+	err = ScanFrames(f, math.MaxInt, func(payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			// Framing passed but JSON did not: corruption.
-			return false, true, nil
+			return err
 		}
-		cont, err := apply(rec)
-		if err != nil {
-			return false, false, err
-		}
-		if !cont {
-			return true, false, nil
-		}
+		return apply(rec)
+	})
+	switch {
+	case errors.Is(err, errStopReplay):
+		return true, false, nil
+	case errors.Is(err, ErrTorn), errors.Is(err, ErrCorrupt):
+		return false, true, nil
 	}
+	return false, false, err
 }

@@ -95,11 +95,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf []byte
 	payloads := [][]byte{[]byte("{}"), []byte(`{"a":1}`), bytes.Repeat([]byte("x"), 1000)}
 	for _, p := range payloads {
-		buf = appendFrame(buf, p)
+		buf = AppendFrame(buf, p)
 	}
 	r := bufio.NewReader(bytes.NewReader(buf))
 	for i, want := range payloads {
-		got, err := readFrame(r)
+		got, err := ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -107,17 +107,17 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %q want %q", i, got, want)
 		}
 	}
-	if _, err := readFrame(r); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrame(r); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected clean EOF at frame boundary, got %v", err)
 	}
 }
 
 func TestFrameTornAndCorrupt(t *testing.T) {
-	frame := appendFrame(nil, []byte(`{"v":1}`))
+	frame := AppendFrame(nil, []byte(`{"v":1}`))
 
 	// Every strict prefix of the frame is torn, never corrupt.
 	for cut := 1; cut < len(frame); cut++ {
-		_, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:cut])))
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:cut])))
 		if !errors.Is(err, ErrTorn) {
 			t.Fatalf("prefix %d/%d: got %v, want ErrTorn", cut, len(frame), err)
 		}
@@ -126,7 +126,7 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 	for i := frameHeaderSize; i < len(frame); i++ {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
-		_, err := readFrame(bufio.NewReader(bytes.NewReader(bad)))
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(bad)))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: got %v, want ErrCorrupt", i, err)
 		}
@@ -134,7 +134,7 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 	// An absurd declared length is corruption, not an allocation attempt.
 	bad := append([]byte(nil), frame...)
 	bad[3] = 0xff
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd length: got %v, want ErrCorrupt", err)
 	}
 }
@@ -310,7 +310,7 @@ func TestRecoverTornTail(t *testing.T) {
 	m.Close()
 
 	// A crash mid-append leaves a partial frame at the tail.
-	full := appendFrame(nil, []byte(`{"prev_version":2,"version":3,"hash":"x"}`))
+	full := AppendFrame(nil, []byte(`{"prev_version":2,"version":3,"hash":"x"}`))
 	appendGarbage(t, dir, "s1", full[:len(full)-3])
 
 	m2 := openManager(t, Options{Dir: dir})
@@ -511,7 +511,7 @@ func TestRecoverSurvivesDoubleCrash(t *testing.T) {
 	}
 	m.Close()
 	// Crash #1 leaves a torn frame at the tail of the only segment.
-	full := appendFrame(nil, []byte(`{"prev_version":4,"version":5,"hash":"x"}`))
+	full := AppendFrame(nil, []byte(`{"prev_version":4,"version":5,"hash":"x"}`))
 	appendGarbage(t, dir, "s1", full[:len(full)-3])
 
 	// The first recovery abandons the torn tail in place and acks two more
@@ -570,7 +570,7 @@ func TestOpenLogNeverTruncatesExisting(t *testing.T) {
 	m.Close()
 	// Crash artifact: the fresh tail wal-2 holds only a torn frame, so
 	// recovery replays nothing from it and reuses its name for the new tail.
-	full := appendFrame(nil, []byte(`{"prev_version":1,"version":2,"hash":"x"}`))
+	full := AppendFrame(nil, []byte(`{"prev_version":1,"version":2,"hash":"x"}`))
 	garbage := full[:len(full)-2]
 	appendGarbage(t, dir, "s1", garbage)
 
