@@ -78,10 +78,10 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 	}
 
 	var total int
-	k.msgU, k.msgV, total = solve.MessageOffsets(g)
+	k.msgU, k.msgV, total = solve.MessageOffsets(g, k.msgU, k.msgV)
 	k.msg = make([]float64, total)
 	k.next = make([]float64, total)
-	k.inc = solve.BuildIncidence(g)
+	k.inc.Build(g)
 	k.aggBuf = make([]float64, g.MaxLabels())
 	k.warm = false
 	k.prior = nil

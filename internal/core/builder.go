@@ -16,8 +16,10 @@ import (
 	"errors"
 	"fmt"
 
+	"netdiversity/internal/icm"
 	"netdiversity/internal/mrf"
 	"netdiversity/internal/netmodel"
+	"netdiversity/internal/solve"
 	"netdiversity/internal/vulnsim"
 )
 
@@ -48,6 +50,32 @@ type problem struct {
 	// dirty is the set of live variables whose neighbourhood changed since
 	// the last solve.
 	dirty map[int]bool
+
+	// lastLabels is the labeling the optimiser's current assignment was
+	// decoded from (node indices are stable under patches: removals tombstone,
+	// additions append), kept so a delta warm-starts and decodes without
+	// walking the assignment.  nil — fresh build, compacting rebuild, restored
+	// assignment — sends the next delta down the full encodeWarm/decode path.
+	// Written only by Optimizer.setSolution.
+	lastLabels []int
+	// touched holds the hosts whose variable set a delta changed since the
+	// last solve; derive adds the hosts whose labels moved and decodes those.
+	touched map[netmodel.HostID]struct{}
+	// kernel and polish are the delta path's warm solver and ICM polish,
+	// retained across deltas: Kernel.Init is re-callable and refills their
+	// O(edges) arenas instead of allocating them (≈1.7 KB per host of
+	// pointer-free buffers stay live once a session has taken a delta).
+	kernel solve.Kernel
+	polish icm.Kernel
+}
+
+// addVariable appends a variable's decode bookkeeping; the caller adds the
+// graph node.
+func (p *problem) addVariable(v variable, cands []netmodel.ProductID) {
+	p.index[v] = len(p.vars)
+	p.vars = append(p.vars, v)
+	p.candidates = append(p.candidates, cands)
+	p.dead = append(p.dead, false)
 }
 
 // markDirty records a live variable as touched by a delta.
@@ -57,9 +85,10 @@ func (p *problem) markDirty(i int) {
 	}
 }
 
-// clearDirty empties the dirty set after a solve has absorbed it.
+// clearDirty empties the delta bookkeeping after a solve has absorbed it.
 func (p *problem) clearDirty() {
-	p.dirty = make(map[int]bool)
+	clear(p.dirty)
+	clear(p.touched)
 }
 
 // buildProblem constructs the MRF for the network, similarity table and
@@ -74,20 +103,21 @@ func buildProblem(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmo
 		}
 	}
 
-	p := &problem{index: make(map[variable]int), opts: opts, dirty: make(map[int]bool)}
+	p := &problem{
+		index:   make(map[variable]int),
+		opts:    opts,
+		dirty:   make(map[int]bool),
+		touched: make(map[netmodel.HostID]struct{}),
+	}
 	var labelCounts []int
 	for _, hid := range net.Hosts() {
 		h, _ := net.Host(hid)
 		for _, s := range h.Services {
-			v := variable{host: hid, service: s}
-			p.index[v] = len(p.vars)
-			p.vars = append(p.vars, v)
 			cands := append([]netmodel.ProductID(nil), h.Choices[s]...)
-			p.candidates = append(p.candidates, cands)
+			p.addVariable(variable{host: hid, service: s}, cands)
 			labelCounts = append(labelCounts, len(cands))
 		}
 	}
-	p.dead = make([]bool, len(p.vars))
 	g, err := mrf.NewGraph(labelCounts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -324,7 +354,10 @@ func (p *problem) addConstraintEdgesForHost(net *netmodel.Network, cs *netmodel.
 }
 
 // decode converts an MRF labeling into an Assignment.  Tombstoned variables
-// (removed hosts awaiting compaction) are skipped.
+// (removed hosts awaiting compaction) are skipped.  A label whose product the
+// variable lists twice is folded, in place, onto the first occurrence — the
+// label encodeWarm's look-up would find — so that kept labels and re-encoded
+// ones agree.  Deltas on a problem that kept its labels use derive instead.
 func (p *problem) decode(labels []int) (*netmodel.Assignment, error) {
 	if len(labels) != len(p.vars) {
 		return nil, fmt.Errorf("core: labeling has %d entries, want %d", len(labels), len(p.vars))
@@ -338,6 +371,7 @@ func (p *problem) decode(labels []int) (*netmodel.Assignment, error) {
 		if l < 0 || l >= len(p.candidates[i]) {
 			return nil, fmt.Errorf("core: label %d out of range for %s/%s", l, v.host, v.service)
 		}
+		labels[i] = candidateIndex(p.candidates[i], p.candidates[i][l])
 		a.Set(v.host, v.service, p.candidates[i][l])
 	}
 	return a, nil
@@ -357,13 +391,7 @@ func (p *problem) encode(a *netmodel.Assignment) ([]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: assignment misses %s/%s", v.host, v.service)
 		}
-		found := -1
-		for l, cand := range p.candidates[i] {
-			if cand == prod {
-				found = l
-				break
-			}
-		}
+		found := candidateIndex(p.candidates[i], prod)
 		if found < 0 {
 			return nil, fmt.Errorf("core: assignment uses %q which is not a candidate of %s/%s",
 				prod, v.host, v.service)
@@ -375,30 +403,78 @@ func (p *problem) encode(a *netmodel.Assignment) ([]int, error) {
 
 // encodeWarm converts a (possibly stale) assignment into a warm-start
 // labeling: variables the assignment covers take their recorded label, new
-// variables fall back to their greedy-unary label.  Unlike encode it never
-// fails — a warm start only has to be a valid labeling, not a complete one.
-func (p *problem) encodeWarm(a *netmodel.Assignment) []int {
+// variables fall back to their greedy-unary label, tombstones take 0.  Unlike
+// encode it never fails — a warm start only has to be a valid labeling, not a
+// complete one.  kept, when non-nil, is the labeling a was decoded from
+// (problem.lastLabels): surviving variables then reuse their label and only
+// variables appended since are looked up in a — the same labels, without
+// walking the assignment.
+func (p *problem) encodeWarm(a *netmodel.Assignment, kept []int) []int {
 	labels := make([]int, len(p.vars))
 	for i, v := range p.vars {
-		if p.dead[i] {
-			continue
+		switch {
+		case p.dead[i]:
+		case i < len(kept):
+			labels[i] = kept[i]
+		default:
+			labels[i] = p.warmLabel(v, i, a)
 		}
-		if prod, ok := a.Get(v.host, v.service); ok {
-			if l := candidateIndex(p.candidates[i], prod); l >= 0 {
-				labels[i] = l
-				continue
-			}
-		}
-		row := p.graph.UnaryView(i)
-		best := 0
-		for l := 1; l < len(row); l++ {
-			if row[l] < row[best] {
-				best = l
-			}
-		}
-		labels[i] = best
 	}
 	return labels
+}
+
+// warmLabel is the warm-start label of one live variable looked up in a.
+func (p *problem) warmLabel(v variable, i int, a *netmodel.Assignment) int {
+	if prod, ok := a.Get(v.host, v.service); ok {
+		if l := candidateIndex(p.candidates[i], prod); l >= 0 {
+			return l
+		}
+	}
+	row := p.graph.UnaryView(i)
+	best := 0
+	for l := 1; l < len(row); l++ {
+		if row[l] < row[best] {
+			best = l
+		}
+	}
+	return best
+}
+
+// derive is decode for a delta: only the hosts a delta touched structurally and
+// the hosts with a label that moved off the last solve's are decoded, and the
+// result shares every other host's map with prev (netmodel.Assignment.With).
+// Without kept labels it is a full decode; the result is sealed either way.
+func (p *problem) derive(net *netmodel.Network, prev *netmodel.Assignment, labels []int) (*netmodel.Assignment, error) {
+	if p.lastLabels == nil {
+		a, err := p.decode(labels)
+		if err != nil {
+			return nil, err
+		}
+		return a.Seal(), nil
+	}
+	moved := p.touched // a superset is harmless, and the caller clears it next
+	for i, l := range labels {
+		if !p.dead[i] && (i >= len(p.lastLabels) || l != p.lastLabels[i]) {
+			moved[p.vars[i].host] = struct{}{}
+		}
+	}
+	changed := make(map[netmodel.HostID]map[netmodel.ServiceID]netmodel.ProductID, len(moved))
+	var removed []netmodel.HostID
+	for hid := range moved {
+		h, ok := net.Host(hid)
+		if !ok {
+			removed = append(removed, hid)
+			continue
+		}
+		m := make(map[netmodel.ServiceID]netmodel.ProductID, len(h.Services))
+		for _, s := range h.Services {
+			i := p.index[variable{host: hid, service: s}]
+			m[s] = p.candidates[i][labels[i]]
+			labels[i] = candidateIndex(p.candidates[i], m[s]) // as decode does
+		}
+		changed[hid] = m
+	}
+	return prev.With(changed, removed), nil
 }
 
 func candidateIndex(cands []netmodel.ProductID, p netmodel.ProductID) int {

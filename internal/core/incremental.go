@@ -1,13 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
-	"netdiversity/internal/icm"
 	"netdiversity/internal/netmodel"
 	"netdiversity/internal/solve"
 )
@@ -203,18 +203,15 @@ func (o *Optimizer) patchAddHost(hid netmodel.HostID) error {
 	if p == nil {
 		return nil
 	}
+	p.touched[hid] = struct{}{}
 	h, _ := o.net.Host(hid)
 	for _, s := range h.Services {
-		v := variable{host: hid, service: s}
 		cands := append([]netmodel.ProductID(nil), h.Choices[s]...)
 		node, err := p.graph.AddNode(len(cands))
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		p.index[v] = node
-		p.vars = append(p.vars, v)
-		p.candidates = append(p.candidates, cands)
-		p.dead = append(p.dead, false)
+		p.addVariable(variable{host: hid, service: s}, cands)
 		names := make([]string, len(cands))
 		for l, c := range cands {
 			names[l] = string(c)
@@ -242,6 +239,7 @@ func (o *Optimizer) patchRemoveHost(hid netmodel.HostID, services []netmodel.Ser
 	if p == nil {
 		return
 	}
+	p.touched[hid] = struct{}{}
 	gone := make(map[int]bool, len(services))
 	for _, s := range services {
 		v := variable{host: hid, service: s}
@@ -397,24 +395,18 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 		// assignment may still need refreshing: removing a host with no live
 		// neighbours leaves the dirty set empty while the served assignment
 		// must drop the departed host and its energy contribution.
-		assignment, energy := o.lastAssignment, o.lastEnergy
 		if o.pendingDeltas {
-			warm := p.encodeWarm(o.lastAssignment)
-			refreshed, err := p.decode(warm)
+			warm := p.encodeWarm(o.lastAssignment, p.lastLabels)
+			refreshed, err := p.derive(o.net, o.lastAssignment, warm)
 			if err != nil {
 				return ReoptimizeResult{}, err
 			}
-			assignment = refreshed
-			energy = p.graph.MustEnergy(warm)
-			o.lastAssignment = assignment
-			o.lastEnergy = energy
-			o.pendingDeltas = false
-			o.rebuilt = false
+			o.absorb(p, refreshed, p.graph.MustEnergy(warm), warm)
 		}
 		out := ReoptimizeResult{
 			Result: Result{
-				Assignment: assignment,
-				Energy:     energy,
+				Assignment: o.lastAssignment,
+				Energy:     o.lastEnergy,
 				Converged:  true,
 				Runtime:    time.Since(start),
 				Nodes:      p.graph.NumNodes(),
@@ -425,12 +417,12 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 			LiveNodes:   live,
 		}
 		if o.cs != nil {
-			out.ConstraintViolations = o.cs.Violations(assignment, o.net)
+			out.ConstraintViolations = o.cs.Violations(out.Assignment, o.net)
 		}
 		return out, nil
 	}
 
-	plainWarm := p.encodeWarm(o.lastAssignment)
+	plainWarm := p.encodeWarm(o.lastAssignment, p.lastLabels)
 	mask := p.dirtyMask()
 	// Re-colour a wider region than the solver will sweep: basin quality
 	// needs coverage, but the solver only has to refine what actually moved
@@ -450,16 +442,19 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 	}
 	// The warm solve starts inside (or next to) the target basin, so it
 	// needs far fewer sweeps than a cold solve and a shorter plateau before
-	// declaring convergence.
-	name := o.opts.Solver.String()
-	if !solve.Registered(name) {
-		return ReoptimizeResult{}, fmt.Errorf("core: unknown solver %v", o.opts.Solver)
+	// declaring convergence.  It runs on the kernel the problem retains.
+	if p.kernel == nil {
+		k, err := solve.New(o.opts.Solver.String())
+		if err != nil {
+			return ReoptimizeResult{}, fmt.Errorf("core: %w", err)
+		}
+		p.kernel = k
 	}
 	iters := o.opts.MaxIterations
 	if iters > reoptimizeMaxIterations {
 		iters = reoptimizeMaxIterations
 	}
-	sol, err := solve.Solve(ctx, name, p.graph, solve.Options{
+	sol, err := solve.Run(ctx, p.graph, solve.Options{
 		MaxIterations: iters,
 		Patience:      reoptimizePatience,
 		Workers:       o.opts.Workers,
@@ -467,7 +462,7 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 		InitialLabels: warm,
 		DirtyMask:     mask,
 		Checkpoint:    o.opts.Checkpoint,
-	})
+	}, p.kernel)
 	if err != nil {
 		return ReoptimizeResult{}, err
 	}
@@ -480,7 +475,7 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 			InitialLabels: sol.Labels,
 			DirtyMask:     mask,
 			Checkpoint:    o.opts.Checkpoint,
-		}, &icm.Kernel{})
+		}, &p.polish)
 		if perr != nil {
 			return ReoptimizeResult{}, perr
 		}
@@ -489,7 +484,7 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 			sol.Energy = polished.Energy
 		}
 	}
-	assignment, err := p.decode(sol.Labels)
+	assignment, err := p.derive(o.net, o.lastAssignment, sol.Labels)
 	if err != nil {
 		return ReoptimizeResult{}, err
 	}
@@ -513,29 +508,45 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 	if o.cs != nil {
 		res.ConstraintViolations = o.cs.Violations(assignment, o.net)
 	}
-	o.lastAssignment = assignment
-	o.lastEnergy = sol.Energy
+	o.absorb(p, assignment, sol.Energy, sol.Labels)
+	return res, nil
+}
+
+// setSolution is the one writer of the served solution.  labels is the
+// labeling a was decoded from on the current problem, or nil when there is
+// none (a restored assignment): the next delta then takes the full
+// encodeWarm/decode path once, as it does after a problem rebuild.  The
+// assignment is sealed here, so everything the optimiser hands out — results,
+// LastAssignment, Snapshot — is immutable and shared without a copy.
+func (o *Optimizer) setSolution(a *netmodel.Assignment, energy float64, labels []int) {
+	o.lastAssignment, o.lastEnergy = a.Seal(), energy
+	if o.prob != nil {
+		o.prob.lastLabels = labels
+	}
+}
+
+// absorb records a finished solve: its solution becomes the served one and the
+// next warm start, and the delta bookkeeping it consumed is reset.
+func (o *Optimizer) absorb(p *problem, a *netmodel.Assignment, energy float64, labels []int) {
+	o.setSolution(a, energy, labels)
 	p.clearDirty()
 	o.rebuilt = false
 	o.pendingDeltas = false
-	return res, nil
 }
 
 // LastAssignment returns the most recent solution (nil before the first
 // solve).  Watch-mode callers use it to keep serving the previous assignment
-// when a churn step fails or is cancelled.
+// when a churn step fails or is cancelled.  It is sealed: Clone it to edit.
 func (o *Optimizer) LastAssignment() *netmodel.Assignment { return o.lastAssignment }
 
-// Snapshot returns a deep copy of the most recent solution and its energy.
-// ok is false before the first successful solve.  The copy shares no state
-// with the optimiser, so a serving layer can hand it to concurrent readers
-// while the next ApplyDelta/Reoptimize cycle runs — the Optimizer itself is
-// single-writer and callers must still serialise the mutating calls.
+// Snapshot returns the optimiser's current solution and its energy; ok is
+// false before the first successful solve.  The assignment is the sealed value
+// the optimiser itself holds — later ApplyDelta/Reoptimize cycles derive new
+// assignments and never touch it — so a serving layer can publish it to
+// concurrent readers without a copy.  The Optimizer itself is single-writer:
+// callers must still serialise the mutating calls.
 func (o *Optimizer) Snapshot() (a *netmodel.Assignment, energy float64, ok bool) {
-	if o.lastAssignment == nil {
-		return nil, 0, false
-	}
-	return o.lastAssignment.Clone(), o.lastEnergy, true
+	return o.lastAssignment, o.lastEnergy, o.lastAssignment != nil
 }
 
 // RestoreAssignment seeds the optimiser with a previously computed solution —
@@ -543,11 +554,11 @@ func (o *Optimizer) Snapshot() (a *netmodel.Assignment, energy float64, ok bool)
 // session from a WAL snapshot installs the recovered assignment here instead
 // of re-running the cold solve: the next ApplyDelta/Reoptimize cycle
 // warm-starts from it exactly as if this process had produced it, and until
-// then LastAssignment/Snapshot serve it unchanged.  The assignment is deep
-// copied; callers should pass the energy journaled alongside it.
+// then LastAssignment/Snapshot serve it unchanged.  The assignment is sealed
+// and retained, not copied; callers should pass the energy journaled alongside
+// it.
 func (o *Optimizer) RestoreAssignment(a *netmodel.Assignment, energy float64) {
-	o.lastAssignment = a.Clone()
-	o.lastEnergy = energy
+	o.setSolution(a, energy, nil)
 }
 
 // greedyRecolor rebuilds the masked region of a warm labeling the way the
@@ -562,18 +573,17 @@ func (o *Optimizer) RestoreAssignment(a *netmodel.Assignment, energy float64) {
 // starts (on the current energy) is returned.
 func (p *problem) greedyRecolor(warm []int, mask []bool) []int {
 	g := p.graph
-	order := make([]int, 0, len(warm))
+	var order []int
 	for i, m := range mask {
 		if m {
 			order = append(order, i)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := g.Degree(order[a]), g.Degree(order[b])
-		if da != db {
-			return da > db
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	recolored := append([]int(nil), warm...)
 	assigned := make([]bool, len(warm))

@@ -180,8 +180,8 @@ type Optimizer struct {
 
 	// prob is the live MRF encoding, built lazily and patched by ApplyDelta.
 	prob *problem
-	// lastAssignment/lastEnergy memoise the most recent solution as the warm
-	// start for Reoptimize.
+	// lastAssignment/lastEnergy memoise the most recent solution (sealed) as
+	// the warm start for Reoptimize; setSolution is their only writer.
 	lastAssignment *netmodel.Assignment
 	lastEnergy     float64
 	// rebuilt records that a threshold rebuild compacted the problem since
@@ -287,11 +287,7 @@ func (o *Optimizer) Optimize(ctx context.Context) (Result, error) {
 	}
 	// A full solve absorbs every pending delta: memoise the solution as the
 	// next Reoptimize warm start and reset the dirty bookkeeping.
-	o.lastAssignment = assignment
-	o.lastEnergy = sol.Energy
-	prob.clearDirty()
-	o.rebuilt = false
-	o.pendingDeltas = false
+	o.absorb(prob, assignment, sol.Energy, sol.Labels)
 	return res, nil
 }
 

@@ -323,10 +323,6 @@ feed:
 	}
 	// Like Optimize, a parallel solve absorbs every pending delta and seeds
 	// the next Reoptimize.
-	o.lastAssignment = assignment
-	o.lastEnergy = polished.Energy
-	prob.clearDirty()
-	o.rebuilt = false
-	o.pendingDeltas = false
+	o.absorb(prob, assignment, polished.Energy, polished.Labels)
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"netdiversity/internal/fastrand"
 	"netdiversity/internal/mrf"
@@ -111,28 +112,31 @@ func (k *Kernel) Defaults(opts solve.Options) solve.Options {
 	return opts
 }
 
-// Init builds the incidence workspace and the first restart's labeling.
+// Init builds the incidence workspace and the first restart's labeling.  It
+// may be called again on the same kernel value (see solve.Kernel): all state
+// is reset and the previous solve's buffers are refilled in place.
 func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 	k.g = g
 	k.opts = opts
 	k.rng = fastrand.New(uint64(opts.Seed))
 	k.n = g.NumNodes()
-	k.counts = make([]int, k.n)
+	k.counts = slices.Grow(k.counts[:0], k.n)[:k.n]
 	for i := 0; i < k.n; i++ {
 		k.counts[i] = g.NumLabels(i)
 	}
-	k.inc = solve.BuildIncidence(g)
-	k.costBuf = make([]float64, g.MaxLabels())
+	k.inc.Build(g)
+	k.costBuf = slices.Grow(k.costBuf[:0], g.MaxLabels())[:g.MaxLabels()]
 
-	k.labels = g.GreedyLabeling()
 	if len(opts.InitialLabels) == k.n {
-		copy(k.labels, opts.InitialLabels)
+		k.labels = append(k.labels[:0], opts.InitialLabels...)
+	} else {
+		k.labels = g.GreedyLabeling()
 	}
 	k.warm = false
-	k.active = nil
 	k.restart = 0
 	k.sweepInRestart = 0
 	k.temp = opts.InitialTemperature
+	k.anyConverged = false
 	return nil
 }
 
@@ -147,7 +151,7 @@ func (k *Kernel) WarmStart(labels []int, dirty []bool) error {
 		return fmt.Errorf("icm: warm start needs %d labels and dirty flags", k.n)
 	}
 	copy(k.labels, labels)
-	k.active = append([]bool(nil), dirty...)
+	k.active = append(k.active[:0], dirty...)
 	k.warm = true
 	k.opts.Restarts = 1
 	k.opts.Annealing = false

@@ -20,7 +20,7 @@ func (g *Graph) AddNode(labelCount int) (int, error) {
 	g.labels = append(g.labels, nil)
 	g.off = append(g.off, g.off[idx]+labelCount)
 	g.unary = append(g.unary, make([]float64, labelCount)...)
-	g.adjDirty = true
+	g.structureChanged()
 	return idx, nil
 }
 
@@ -53,7 +53,7 @@ func (g *Graph) FilterEdges(keep func(idx, u, v int) bool) int {
 	removed := len(g.edges) - len(out)
 	if removed > 0 {
 		g.edges = out
-		g.adjDirty = true
+		g.structureChanged()
 	}
 	return removed
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // HardPenalty is the finite cost used to encode hard constraints (the "∞" of
@@ -53,7 +54,10 @@ type Graph struct {
 	// CSR adjacency (node -> incident edge indices), rebuilt lazily.
 	adjOff   []int
 	adjList  []int
+	adjPos   []int // ensureAdj's scratch
 	adjDirty bool
+	// generation counts structural mutations (see Generation).
+	generation uint64
 }
 
 // NewGraph creates a graph with the given number of labels per node.  Every
@@ -222,9 +226,22 @@ func (g *Graph) intern(m *Matrix) int {
 func (g *Graph) appendEdge(u, v, mat int) int {
 	idx := len(g.edges)
 	g.edges = append(g.edges, edgeRec{U: u, V: v, Mat: mat})
-	g.adjDirty = true
+	g.structureChanged()
 	return idx
 }
+
+// structureChanged invalidates what is derived from the node and edge lists:
+// the lazy CSR adjacency here and, through Generation, what callers derived.
+func (g *Graph) structureChanged() {
+	g.adjDirty = true
+	g.generation++
+}
+
+// Generation changes whenever a node or an edge is added or removed, and only
+// then (unary costs do not count): a long-lived caller compares it to tell
+// whether what it derived from the topology — a kernel's half-edge incidence
+// — is still current.
+func (g *Graph) Generation() uint64 { return g.generation }
 
 // AddEdge adds a pairwise factor between u and v with the dense cost matrix
 // cost[labelU][labelV].  The matrix is copied into flat storage and interned:
@@ -323,23 +340,27 @@ func (g *Graph) EdgeMatT(idx int) *Matrix {
 	return g.matsT[id]
 }
 
-// ensureAdj (re)builds the CSR adjacency after edge insertions.
+// ensureAdj (re)builds the CSR adjacency after structural mutations, refilling
+// the previous arrays in place when they are large enough: a long-lived graph
+// rebuilds it once per structural delta.
 func (g *Graph) ensureAdj() {
 	if !g.adjDirty && g.adjOff != nil {
 		return
 	}
 	n := len(g.counts)
-	deg := make([]int, n)
+	// pos[i] first counts node i's degree, then walks its adjacency block.
+	pos := slices.Grow(g.adjPos[:0], n)[:n]
+	clear(pos)
 	for _, e := range g.edges {
-		deg[e.U]++
-		deg[e.V]++
+		pos[e.U]++
+		pos[e.V]++
 	}
-	g.adjOff = make([]int, n+1)
+	g.adjOff = slices.Grow(g.adjOff[:0], n+1)[:n+1]
+	g.adjOff[0] = 0
 	for i := 0; i < n; i++ {
-		g.adjOff[i+1] = g.adjOff[i] + deg[i]
+		g.adjOff[i+1] = g.adjOff[i] + pos[i]
 	}
-	g.adjList = make([]int, g.adjOff[n])
-	pos := make([]int, n)
+	g.adjList = slices.Grow(g.adjList[:0], g.adjOff[n])[:g.adjOff[n]]
 	copy(pos, g.adjOff[:n])
 	for idx, e := range g.edges {
 		g.adjList[pos[e.U]] = idx
@@ -347,6 +368,7 @@ func (g *Graph) ensureAdj() {
 		g.adjList[pos[e.V]] = idx
 		pos[e.V]++
 	}
+	g.adjPos = pos
 	g.adjDirty = false
 }
 

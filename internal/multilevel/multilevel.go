@@ -112,9 +112,13 @@ type Kernel struct {
 	phase  int
 	stats  Stats
 	failed error
-	// warm is the flat kernel a warm re-solve forwards to (see WarmStart);
-	// nil on the cold path.
-	warm solve.WarmKernel
+	// inner is the flat kernel warm re-solves forward to (see WarmStart) and
+	// innerName its registry name; it survives Init, so a retained kernel
+	// value refills its arenas instead of allocating them per delta.  warm
+	// says whether the current solve is a warm one.
+	inner     solve.WarmKernel
+	innerName string
+	warm      bool
 }
 
 const (
@@ -174,7 +178,7 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 	k.phase = phaseBuild
 	k.stats = Stats{}
 	k.failed = nil
-	k.warm = nil
+	k.warm = false
 	return nil
 }
 
@@ -183,24 +187,29 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 // labeling and the dirty mask, and Step forwards to it from then on.  The
 // outer driver keeps owning best-tracking, patience, Checkpoint and the sweep
 // count, so no hierarchy is built (Stats stays zero) and Solution.Iterations
-// is the number of sweeps actually run.
+// is the number of sweeps actually run.  The inner kernel is kept for the next
+// warm re-solve (re-created only when refineSolver picks another name);
+// nothing of a cold hierarchy is.
 func (k *Kernel) WarmStart(labels []int, dirty []bool) error {
-	name := k.refineSolver(k.g)
-	kern, err := solve.New(name)
-	if err != nil {
+	if name := k.refineSolver(k.g); name != k.innerName {
+		kern, err := solve.New(name)
+		if err != nil {
+			return err
+		}
+		inner, ok := kern.(solve.WarmKernel)
+		if !ok {
+			return fmt.Errorf("multilevel: refine solver %q cannot warm-start", name)
+		}
+		k.inner, k.innerName = inner, name
+	}
+	if err := k.inner.Init(k.g, k.opts); err != nil {
 		return err
 	}
-	warm, ok := kern.(solve.WarmKernel)
-	if !ok {
-		return fmt.Errorf("multilevel: refine solver %q cannot warm-start", name)
-	}
-	if err := warm.Init(k.g, k.opts); err != nil {
+	if err := k.inner.WarmStart(labels, dirty); err != nil {
 		return err
 	}
-	if err := warm.WarmStart(labels, dirty); err != nil {
-		return err
-	}
-	k.warm = warm
+	k.h, k.labels = nil, nil
+	k.warm = true
 	return nil
 }
 
@@ -210,8 +219,8 @@ func (k *Kernel) WarmStart(labels []int, dirty []bool) error {
 // returns the fully refined fine labeling with FixedPoint set.  Warm: one
 // sweep of the inner kernel.
 func (k *Kernel) Step() solve.Step {
-	if k.warm != nil {
-		return k.warm.Step()
+	if k.warm {
+		return k.inner.Step()
 	}
 	switch k.phase {
 	case phaseBuild:

@@ -3,15 +3,35 @@ package netmodel
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
+	"weak"
 )
 
 // Assignment is a product assignment α of Definition 3: for every host and
 // every service it provides, the product chosen to deliver that service.
+//
+// An assignment is built mutable and becomes immutable when sealed: from then
+// on every mutator panics (only a bug can mutate a solution shared with
+// concurrent readers), so the optimiser, published snapshots, the WAL and any
+// number of lock-free readers share one sealed value without a copy.  New
+// versions are derived with With; Clone returns an unsealed deep copy.
 type Assignment struct {
 	products map[HostID]map[ServiceID]ProductID
+
+	// order is a sealed assignment's sorted host list, built by Seal or carried
+	// over by With before the assignment is shared — never lazily under
+	// readers.  Hash and MarshalJSON walk it.
+	sealed bool
+	order  []HostID
+
+	// base and touched record how With derived the assignment: from which
+	// assignment, and which hosts may differ from it.  The base is held weakly,
+	// so a served version never keeps its predecessors alive.
+	base    weak.Pointer[Assignment]
+	touched []HostID
 }
 
 // NewAssignment creates an empty assignment.
@@ -19,8 +39,82 @@ func NewAssignment() *Assignment {
 	return &Assignment{products: make(map[HostID]map[ServiceID]ProductID)}
 }
 
+// Seal makes the assignment immutable, builds its sorted host order and
+// returns it.  Call it before the assignment is shared between goroutines;
+// sealing twice is a no-op.
+func (a *Assignment) Seal() *Assignment {
+	if !a.sealed {
+		a.order = a.Hosts()
+		a.sealed = true
+	}
+	return a
+}
+
+func (a *Assignment) mustBeMutable() {
+	if a.sealed {
+		panic("netmodel: mutation of a sealed assignment (Clone it first)")
+	}
+}
+
+// With derives a new sealed assignment from a sealed one, which it does not
+// modify: hosts in removed are dropped, hosts in changed get a copy of the
+// given map (an empty map drops the host; a host in both follows its changed
+// entry, as under ApplyPatch) and every other host shares its map with the
+// base — O(hosts) pointer copies, O(changed) allocations.  The host order is
+// carried over when the host set stays the same and merged otherwise.  It is
+// the patch step of the delta path and of WAL and replica replay:
+// prev.With(cur.DiffHosts(prev)) equals cur.
+func (a *Assignment) With(changed map[HostID]map[ServiceID]ProductID, removed []HostID) *Assignment {
+	if !a.sealed {
+		panic("netmodel: With on an unsealed assignment (Seal it first)")
+	}
+	out := &Assignment{
+		products: maps.Clone(a.products),
+		sealed:   true,
+		order:    a.order,
+		base:     weak.Make(a),
+		touched:  make([]HostID, 0, len(changed)+len(removed)),
+	}
+	left := false
+	for _, h := range removed {
+		if _, again := changed[h]; again {
+			continue
+		}
+		out.touched = append(out.touched, h)
+		if _, ok := out.products[h]; ok {
+			delete(out.products, h)
+			left = true
+		}
+	}
+	var joined []HostID
+	for h, m := range changed {
+		out.touched = append(out.touched, h)
+		_, had := out.products[h]
+		switch {
+		case len(m) > 0:
+			out.products[h] = maps.Clone(m)
+			if !had {
+				joined = append(joined, h)
+			}
+		case had:
+			delete(out.products, h)
+			left = true
+		}
+	}
+	if left || len(joined) > 0 {
+		// Merge: drop the hosts that left, insert the few that joined.
+		out.order = slices.DeleteFunc(slices.Clone(a.order), func(h HostID) bool { return out.products[h] == nil })
+		for _, h := range joined {
+			i, _ := slices.BinarySearch(out.order, h)
+			out.order = slices.Insert(out.order, i, h)
+		}
+	}
+	return out
+}
+
 // Set records α'(h, s) = p.
 func (a *Assignment) Set(h HostID, s ServiceID, p ProductID) {
+	a.mustBeMutable()
 	m, ok := a.products[h]
 	if !ok {
 		m = make(map[ServiceID]ProductID)
@@ -53,6 +147,9 @@ func (a *Assignment) HostAssignment(h HostID) map[ServiceID]ProductID {
 
 // Hosts returns the hosts that have at least one assigned service, sorted.
 func (a *Assignment) Hosts() []HostID {
+	if a.sealed {
+		return slices.Clone(a.order)
+	}
 	out := make([]HostID, 0, len(a.products))
 	for h := range a.products {
 		out = append(out, h)
@@ -76,19 +173,37 @@ func (a *Assignment) Len() int {
 // map of every changed host, so replay replaces host maps wholesale instead
 // of merging individual services.
 func (a *Assignment) SetHost(h HostID, m map[ServiceID]ProductID) {
+	a.mustBeMutable()
 	if len(m) == 0 {
 		delete(a.products, h)
 		return
 	}
-	mm := make(map[ServiceID]ProductID, len(m))
-	for s, p := range m {
-		mm[s] = p
-	}
-	a.products[h] = mm
+	a.products[h] = maps.Clone(m)
 }
 
 // RemoveHost drops every assignment of the host.
-func (a *Assignment) RemoveHost(h HostID) { delete(a.products, h) }
+func (a *Assignment) RemoveHost(h HostID) {
+	a.mustBeMutable()
+	delete(a.products, h)
+}
+
+// sortedHosts is the order Hash and MarshalJSON walk: built once for a sealed
+// assignment, sorted per call for a mutable one.
+func (a *Assignment) sortedHosts() []HostID {
+	if a.sealed {
+		return a.order
+	}
+	return a.Hosts()
+}
+
+// sortedServices appends a host's services to buf (a stack buffer), sorted.
+func sortedServices(buf []ServiceID, m map[ServiceID]ProductID) []ServiceID {
+	for s := range m {
+		buf = append(buf, s)
+	}
+	slices.Sort(buf)
+	return buf
+}
 
 // Hash returns a stable FNV-1a fingerprint of the assignment covering every
 // (host, service, product) triple in sorted order.  It is the determinism
@@ -100,22 +215,17 @@ func (a *Assignment) RemoveHost(h HostID) { delete(a.products, h) }
 // the result is the 64-bit sum as 16 lower-case hex digits.  Journaled
 // records and peer nodes hold values of this exact function, so it is frozen:
 // a golden test compares it against the original fmt/hash/fnv formulation.
-// It runs on the ack path of every delta, hence the inlined FNV loop and the
-// stack buffer for a host's services.
+// It runs on the ack path of every delta, hence the inlined FNV loop, the
+// stack buffer for a host's services and the pre-built host order.
 func (a *Assignment) Hash() string {
 	if a == nil {
 		return ""
 	}
 	h := uint64(fnvOffset64)
 	var buf [8]ServiceID
-	for _, host := range a.Hosts() {
+	for _, host := range a.sortedHosts() {
 		m := a.products[host]
-		services := buf[:0]
-		for s := range m {
-			services = append(services, s)
-		}
-		slices.Sort(services)
-		for _, svc := range services {
+		for _, svc := range sortedServices(buf[:0], m) {
 			h = fnvString(h, string(host)) * fnvPrime64 // NUL: xor with 0 is a no-op
 			h = fnvString(h, string(svc)) * fnvPrime64
 			h = (fnvString(h, string(m[svc])) ^ '\n') * fnvPrime64
@@ -143,76 +253,74 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
+// eachDiffCandidate calls visit with the current and previous map (nil when
+// absent) of every host on which a and prev may differ: the hosts With touched
+// when prev is the assignment a was derived from — all others share their map
+// with it — and every host of either assignment otherwise.
+func (a *Assignment) eachDiffCandidate(prev *Assignment, visit func(h HostID, cur, was map[ServiceID]ProductID)) {
+	if prev == nil {
+		prev = &Assignment{}
+	} else if a.base.Value() == prev {
+		for _, h := range a.touched {
+			visit(h, a.products[h], prev.products[h])
+		}
+		return
+	}
+	for h, m := range a.products {
+		visit(h, m, prev.products[h])
+	}
+	for h, pm := range prev.products {
+		if _, ok := a.products[h]; !ok {
+			visit(h, nil, pm)
+		}
+	}
+}
+
 // DiffHosts compares the assignment against a previous one, returning the
 // per-host changes that turn prev into a: changed maps every host whose
 // service→product map is new or different to a copy of its full current map,
 // and removed lists (sorted) the hosts present in prev but absent now.  A WAL
-// record carries exactly this pair, so replay is a sequence of SetHost and
-// RemoveHost calls (see ApplyPatch) — compact for incremental re-solves that
-// move a few hosts, complete when a cold fallback reshuffles everything.
+// record carries exactly this pair, so replay is one With call — compact for
+// incremental re-solves that move a few hosts, complete when a cold fallback
+// reshuffles everything.
 func (a *Assignment) DiffHosts(prev *Assignment) (changed map[HostID]map[ServiceID]ProductID, removed []HostID) {
 	changed = make(map[HostID]map[ServiceID]ProductID)
-	for h, m := range a.products {
-		var pm map[ServiceID]ProductID
-		if prev != nil {
-			pm = prev.products[h]
-		}
-		same := len(pm) == len(m)
-		if same {
-			for s, p := range m {
-				if pp, ok := pm[s]; !ok || pp != p {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
-			mm := make(map[ServiceID]ProductID, len(m))
-			for s, p := range m {
-				mm[s] = p
-			}
-			changed[h] = mm
-		}
-	}
-	if prev != nil {
-		for h := range prev.products {
-			if _, ok := a.products[h]; !ok {
+	a.eachDiffCandidate(prev, func(h HostID, cur, was map[ServiceID]ProductID) {
+		switch {
+		case cur == nil:
+			if was != nil {
 				removed = append(removed, h)
 			}
+		case !maps.Equal(cur, was):
+			changed[h] = maps.Clone(cur)
 		}
-	}
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
-	return changed, removed
+	})
+	slices.Sort(removed)
+	return changed, slices.Compact(removed)
 }
 
 // ChangedHosts counts the hosts of a that joined or switched a product
 // relative to prev: hosts with at least one (service, product) pair prev does
 // not hold (all of them when prev is nil).  A host that only dropped
 // services, or left altogether, is not counted.  It is the changed_hosts
-// figure of a delta ack, taken in one walk over the two assignments without
-// copying either.
+// figure of a delta ack, taken without copying either assignment.
 func (a *Assignment) ChangedHosts(prev *Assignment) int {
 	changed := 0
-	for h, m := range a.products {
-		var pm map[ServiceID]ProductID
-		if prev != nil {
-			pm = prev.products[h]
-		}
-		for s, p := range m {
-			if was, ok := pm[s]; !ok || was != p {
+	a.eachDiffCandidate(prev, func(_ HostID, cur, was map[ServiceID]ProductID) {
+		for s, p := range cur {
+			if old, ok := was[s]; !ok || old != p {
 				changed++
-				break
+				return
 			}
 		}
-	}
+	})
 	return changed
 }
 
-// ApplyPatch applies a DiffHosts result in place: removed hosts are dropped,
-// changed hosts have their whole map replaced.  Applying the patch produced
-// by cur.DiffHosts(prev) to a clone of prev yields an assignment equal to
-// cur — the replay invariant the WAL's recovery tests pin.
+// ApplyPatch is With in place, on a mutable assignment: removed hosts are
+// dropped, changed hosts have their whole map replaced.
 func (a *Assignment) ApplyPatch(changed map[HostID]map[ServiceID]ProductID, removed []HostID) {
+	a.mustBeMutable()
 	for _, h := range removed {
 		delete(a.products, h)
 	}
@@ -221,13 +329,11 @@ func (a *Assignment) ApplyPatch(changed map[HostID]map[ServiceID]ProductID, remo
 	}
 }
 
-// Clone returns a deep copy of the assignment.
+// Clone returns an unsealed deep copy of the assignment.
 func (a *Assignment) Clone() *Assignment {
-	c := NewAssignment()
+	c := &Assignment{products: make(map[HostID]map[ServiceID]ProductID, len(a.products))}
 	for h, m := range a.products {
-		for s, p := range m {
-			c.Set(h, s, p)
-		}
+		c.products[h] = maps.Clone(m)
 	}
 	return c
 }
@@ -343,14 +449,9 @@ func (a *Assignment) String() string {
 	var b strings.Builder
 	for _, h := range hosts {
 		m := a.products[h]
-		services := make([]ServiceID, 0, len(m))
-		for s := range m {
-			services = append(services, s)
-		}
-		sort.Slice(services, func(i, j int) bool { return services[i] < services[j] })
 		b.WriteString(string(h))
 		b.WriteString(":")
-		for _, s := range services {
+		for _, s := range sortedServices(nil, m) {
 			fmt.Fprintf(&b, " %s=%s", s, m[s])
 		}
 		b.WriteString("\n")

@@ -2,8 +2,10 @@ package netmodel
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -226,36 +228,67 @@ func DecodeSpecStrict(r io.Reader, limits SpecLimits) (*Network, *ConstraintSet,
 	return FromSpec(spec)
 }
 
-// assignmentJSON is the serialised form of an Assignment.
-type assignmentJSON struct {
-	Hosts map[HostID]map[ServiceID]ProductID `json:"hosts"`
-}
-
-// MarshalJSON serialises the assignment.
+// MarshalJSON serialises the assignment as {"hosts":{host:{service:product}}},
+// hosts and services sorted — byte for byte what encoding/json produces for the
+// nested map, without its reflection, per-map key sort or a copy of the maps:
+// one walk over the host order appending into one buffer.  Fresh assignment
+// reads, WAL snapshots and replication full syncs all encode through it.
 func (a *Assignment) MarshalJSON() ([]byte, error) {
-	out := assignmentJSON{Hosts: make(map[HostID]map[ServiceID]ProductID, len(a.products))}
-	for h, m := range a.products {
-		mm := make(map[ServiceID]ProductID, len(m))
-		for s, p := range m {
-			mm[s] = p
+	hosts := a.sortedHosts()
+	buf := make([]byte, 0, 16+64*len(hosts))
+	buf = append(buf, `{"hosts":{`...)
+	var sbuf [8]ServiceID
+	for i, h := range hosts {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		out.Hosts[h] = mm
+		buf = appendJSONString(buf, string(h))
+		buf = append(buf, ':', '{')
+		m := a.products[h]
+		for j, svc := range sortedServices(sbuf[:0], m) {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(buf, string(svc))
+			buf = append(buf, ':')
+			buf = appendJSONString(buf, string(m[svc]))
+		}
+		buf = append(buf, '}')
 	}
-	return json.Marshal(out)
+	return append(buf, '}', '}'), nil
 }
 
-// UnmarshalJSON deserialises the assignment.
+// appendJSONString appends s as encoding/json renders it: printable ASCII
+// without the characters json.Marshal escapes (", \, <, >, &) is copied;
+// control bytes, non-ASCII and invalid UTF-8 take the library's escaper.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // marshalling a string cannot fail
+			return append(buf, quoted...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
+// UnmarshalJSON replaces the assignment's contents; the result is mutable.
+// Decoding into a sealed assignment is an error.
 func (a *Assignment) UnmarshalJSON(data []byte) error {
-	var in assignmentJSON
+	if a.sealed {
+		return errors.New("netmodel: decode into a sealed assignment")
+	}
+	var in struct {
+		Hosts map[HostID]map[ServiceID]ProductID `json:"hosts"`
+	}
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("netmodel: decode assignment: %w", err)
 	}
-	na := NewAssignment()
-	for h, m := range in.Hosts {
-		for s, p := range m {
-			na.Set(h, s, p)
-		}
+	if in.Hosts == nil {
+		in.Hosts = make(map[HostID]map[ServiceID]ProductID)
 	}
-	*a = *na
+	maps.DeleteFunc(in.Hosts, func(_ HostID, m map[ServiceID]ProductID) bool { return len(m) == 0 })
+	*a = Assignment{products: in.Hosts}
 	return nil
 }

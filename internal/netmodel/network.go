@@ -9,6 +9,7 @@ package netmodel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -352,7 +353,7 @@ func (n *Network) Neighbors(id HostID) []HostID {
 	for h := range adj {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

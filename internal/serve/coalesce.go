@@ -208,7 +208,7 @@ func (s *Server) runDeltaBatch(ctx context.Context, sess *session) {
 		ackAll(accepted, err)
 		return
 	}
-	changed := changedHosts(prev, snap.assignment)
+	changed := snap.assignment.ChangedHosts(prev.assignment)
 	hosts := sess.net.NumHosts()
 	for _, rq := range accepted {
 		resp := DeltaResponse{

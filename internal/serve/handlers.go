@@ -432,19 +432,11 @@ func (s *Server) healPending(ctx context.Context, sess *session) error {
 	return s.publish(sess, sess.buildRecord(sess.snap.Load(), snap, nil), snap, nil)
 }
 
-// changedHosts counts hosts of the new assignment that joined or changed
-// product relative to the previous snapshot.
-func changedHosts(prev *snapshot, cur *netmodel.Assignment) int {
-	if prev == nil || prev.assignment == nil {
-		return 0
-	}
-	return cur.ChangedHosts(prev.assignment)
-}
-
 // handleAssignment implements GET /v1/networks/{id}/assignment straight from
 // the published snapshot — no locks, so reads never wait on a re-solve.  The
-// snapshot is immutable, so its JSON body is marshaled once per version and
-// every further read at that version is a copy of the cached bytes.
+// snapshot is immutable, so its JSON body is marshaled once per version (one
+// walk over the sealed assignment's host order, see Assignment.MarshalJSON)
+// and every further read at that version is a copy of the cached bytes.
 func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	sess, snap, ok := s.loadSession(w, r, true)
 	if !ok {

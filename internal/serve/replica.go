@@ -98,7 +98,9 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 	if snap.Assignment == nil {
 		return fmt.Errorf("serve: replica snapshot %s carries no assignment", snap.ID)
 	}
-	if got := snap.Assignment.Hash(); got != snap.Hash {
+	// The decoded assignment is sealed before anything else looks at it: adopt
+	// publishes it to lock-free readers as is.
+	if got := snap.Assignment.Seal().Hash(); got != snap.Hash {
 		return fmt.Errorf("serve: replica snapshot %s assignment hash %s != journaled %s", snap.ID, got, snap.Hash)
 	}
 	net, cs, err := netmodel.FromSpec(snap.Spec)
@@ -171,9 +173,10 @@ func (s *Server) ReplicaCreate(snap *wal.SessionSnapshot) error {
 
 // ReplicaApply advances a replica session by one committed record through
 // the deterministic replay path, in the order verify → journal → mutate →
-// install.  The assignment patch folds onto a clone of the published
-// assignment and must reproduce the record's hash — the same end-to-end check
-// recovery applies to the on-disk log — before anything is touched, so a
+// install.  The next assignment is derived from the published one (which it
+// shares every untouched host with and never modifies) and must reproduce the
+// record's hash — the same end-to-end check recovery applies to the on-disk
+// log, through the same Record.Patch — before anything is touched, so a
 // chain gap (the caller fetches the missing records), a hash mismatch (the
 // caller resyncs) and a failed append (the node is degraded) all leave the
 // replica serving exactly what it served.  Only then do the record's deltas
@@ -201,8 +204,8 @@ func (s *Server) ReplicaApply(id string, rec *wal.Record) error {
 	if rec.PrevVersion != snap.version {
 		return fmt.Errorf("serve: replica %s record chains from %d, replica is at %d", id, rec.PrevVersion, snap.version)
 	}
-	a := snap.assignment.Clone()
-	if err := rec.Patch(a); err != nil {
+	a, err := rec.Patch(snap.assignment)
+	if err != nil {
 		return fmt.Errorf("serve: replica %s: %w", id, err)
 	}
 	next := snapshot{version: rec.Version, energy: rec.Energy, assignment: a, hash: rec.Hash}

@@ -414,3 +414,119 @@ func TestConstructionPathsDifferOnlyByRole(t *testing.T) {
 		}
 	}
 }
+
+// streamingReplicator forwards every committed record to a channel — a
+// replication transport reduced to its essence.
+type streamingReplicator struct{ records chan *wal.Record }
+
+func (r *streamingReplicator) SessionCreated(*wal.SessionSnapshot) {}
+func (r *streamingReplicator) SessionDeleted(string)               {}
+func (r *streamingReplicator) RecordCommitted(_ string, rec *wal.Record) {
+	r.records <- rec
+}
+
+// TestSharedAssignmentUnderConcurrentFirstReads runs what sharing one sealed
+// assignment between the optimiser, the published snapshot, the record stream
+// and lock-free readers has to survive, under the race detector: a delta
+// stream on a primary whose records a follower applies as they commit, with
+// eight readers on each node racing every publication to the first (encode
+// miss) read of the new version.  Every body read for a version, on either
+// node, must be byte-identical, and its assignment must hash to the value the
+// body announces — the host order the encoder and Hash walk is built before
+// the assignment is published, never under the readers.
+func TestSharedAssignmentUnderConcurrentFirstReads(t *testing.T) {
+	const deltas, readers = 40, 8
+	stream := &streamingReplicator{records: make(chan *wal.Record, deltas)} // every record of the run fits: the hook never blocks
+	primary, pts := newTestServer(t, Config{Replicator: stream})
+	if status := do(t, http.MethodPost, pts.URL+"/v1/networks", CreateRequest{
+		ID: "r0", Spec: testSpec(40), Seed: 3,
+	}, nil); status != http.StatusCreated {
+		t.Fatalf("create: status %d", status)
+	}
+	snap, err := primary.CurrentSnapshot("r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, fts := newTestServer(t, Config{})
+	follower.SetFollower(pts.URL)
+	if err := follower.ReplicaCreate(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	bodies := make(map[uint64]string) // version → the one body every reader must see
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, base := range []string{pts.URL, fts.URL} {
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := http.Get(base + "/v1/networks/r0/assignment")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					raw, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					var got AssignmentResponse
+					if err := json.Unmarshal(raw, &got); err != nil || resp.StatusCode != http.StatusOK {
+						t.Errorf("read: status %d: %v", resp.StatusCode, err)
+						return
+					}
+					if h := got.Assignment.Hash(); h != got.AssignmentHash {
+						t.Errorf("version %d: body hashes to %s, announces %s", got.Version, h, got.AssignmentHash)
+						return
+					}
+					mu.Lock()
+					first, seen := bodies[got.Version]
+					if !seen {
+						bodies[got.Version] = string(raw)
+					}
+					mu.Unlock()
+					if seen && first != string(raw) {
+						t.Errorf("version %d read two different bodies:\n%s\n%s", got.Version, first, raw)
+						return
+					}
+				}
+			}()
+		}
+	}
+	applied := make(chan struct{})
+	go func() {
+		defer close(applied)
+		for i := 0; i < deltas; i++ {
+			if err := follower.ReplicaApply("r0", <-stream.records); err != nil {
+				t.Errorf("replica apply %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < deltas; i++ {
+		d := addHostDelta(netmodel.HostID(fmt.Sprintf("x%d", i)), netmodel.HostID(fmt.Sprintf("h%d", i%40)))
+		if i%4 == 3 {
+			d = netmodel.Delta{Ops: []netmodel.DeltaOp{{Op: netmodel.OpRemoveHost, ID: netmodel.HostID(fmt.Sprintf("x%d", i-2))}}}
+		}
+		if status := do(t, http.MethodPost, pts.URL+"/v1/networks/r0/deltas", d, nil); status != http.StatusOK {
+			t.Fatalf("delta %d: status %d", i, status)
+		}
+	}
+	<-applied
+	close(stop)
+	wg.Wait()
+
+	pv, ph, _ := primary.ReplicaVersion("r0")
+	fv, fh, _ := follower.ReplicaVersion("r0")
+	if pv != deltas+1 || fv != pv || fh != ph {
+		t.Fatalf("primary at %d/%s, follower at %d/%s, want version %d on both", pv, ph, fv, fh, deltas+1)
+	}
+	if len(bodies) < deltas/4 {
+		t.Fatalf("readers saw only %d versions of %d", len(bodies), deltas+1)
+	}
+}

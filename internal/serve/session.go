@@ -143,8 +143,9 @@ func (s *session) endGrant(g *grant) {
 func (s *session) solveCost() float64 { return float64(s.net.NumHosts()) }
 
 // snapshot is the immutable published state of a session.  The assignment is
-// produced fresh by every solve and never mutated afterwards, so sharing the
-// pointer with concurrent readers is safe.
+// sealed (netmodel.Assignment.Seal): its mutators panic and its sorted host
+// order was built before it got here, so the optimiser, the WAL, replication
+// and any number of lock-free readers share the one value without a copy.
 type snapshot struct {
 	version    uint64
 	energy     float64
@@ -174,9 +175,9 @@ func (s *session) unlock() { <-s.writer }
 // folds in, so a coalesced batch reaches the same final version as the same
 // deltas applied serially and the version stays a monotone write counter
 // either way.  Must be called by the writer-slot holder after a successful
-// solve.  The assignment comes from core.Optimizer.Snapshot — a deep copy
-// owned by the snapshot alone, so lock-free readers can never observe
-// optimiser-internal state no matter how core evolves.  Build and install
+// solve.  The assignment is core.Optimizer.Snapshot's sealed solution itself:
+// the optimiser derives its next solution from it and never writes to it, so
+// lock-free readers are safe by construction, not by copy.  Build and install
 // are deliberately separate steps with no combined shortcut: the persistence
 // plane journals the state in between (publish), so lock-free readers only
 // ever observe durably-acked state.
@@ -184,7 +185,7 @@ func (s *session) buildSnapshot(n uint64) snapshot {
 	a, energy, ok := s.opt.Snapshot()
 	if !ok {
 		// Unreachable: publish follows a successful Optimize/Reoptimize.
-		a, energy = netmodel.NewAssignment(), 0
+		a, energy = netmodel.NewAssignment().Seal(), 0
 	}
 	version := n
 	if prev := s.snap.Load(); prev != nil {
@@ -245,7 +246,7 @@ func (s *Server) adopt(meta *wal.SessionSnapshot, net *netmodel.Network, cs *net
 		sess.install(snapshot{
 			version:    meta.Version,
 			energy:     meta.Energy,
-			assignment: meta.Assignment.Clone(),
+			assignment: meta.Assignment.Seal(),
 			hash:       meta.Hash,
 		})
 	}

@@ -135,7 +135,9 @@ type DeltaResponse struct {
 	// DirtyNodes/LiveNodes describe the warm solve's frontier.
 	DirtyNodes int `json:"dirty_nodes"`
 	LiveNodes  int `json:"live_nodes"`
-	// ChangedHosts counts surviving hosts whose assignment changed.
+	// ChangedHosts counts the hosts that joined or changed a product relative
+	// to the previous version (netmodel.Assignment.ChangedHosts); hosts that
+	// left, or only dropped services, are not counted.
 	ChangedHosts int `json:"changed_hosts"`
 	// Coalesced is the number of deltas that landed together in the batch
 	// this request was folded into (omitted when the delta landed alone).

@@ -1,6 +1,10 @@
 package solve
 
-import "netdiversity/internal/mrf"
+import (
+	"slices"
+
+	"netdiversity/internal/mrf"
+)
 
 // HalfEdge is one directed view of an undirected MRF edge as seen from a
 // node: the edge index, the opposite endpoint, and whether the node is the
@@ -16,21 +20,33 @@ type HalfEdge struct {
 type Incidence struct {
 	inc []HalfEdge
 	off []int
+	// g and generation identify the topology the structure was built for.
+	g          *mrf.Graph
+	generation uint64
 }
 
-// BuildIncidence constructs the incidence structure for a graph and touches
-// the graph's lazy caches (adjacency CSR, transposed matrices) so that
-// kernels may read them from multiple goroutines afterwards.  Call it from
-// Kernel.Init, which the driver guarantees runs single-threaded.
-func BuildIncidence(g *mrf.Graph) Incidence {
-	n := g.NumNodes()
-	off := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + len(g.IncidentEdges(i))
+// Build makes the incidence structure current for a graph and touches the
+// graph's lazy caches (adjacency CSR, transposed matrices) so that kernels may
+// read them from multiple goroutines afterwards.  Call it from Kernel.Init,
+// which the driver guarantees runs single-threaded.  On a retained Incidence
+// it does nothing and returns false while the graph's topology is the one it
+// was built for (mrf.Graph.Generation: a delta that only moved unary costs),
+// so the caller can keep what it derived from the topology too; otherwise the
+// arenas are refilled in place (every element overwritten) when large enough.
+func (in *Incidence) Build(g *mrf.Graph) (rebuilt bool) {
+	if in.g == g && in.generation == g.Generation() && in.off != nil {
+		return false
 	}
-	inc := make([]HalfEdge, off[n])
+	in.g, in.generation = g, g.Generation()
+	n := g.NumNodes()
+	in.off = slices.Grow(in.off[:0], n+1)[:n+1]
+	in.off[0] = 0
 	for i := 0; i < n; i++ {
-		pos := off[i]
+		in.off[i+1] = in.off[i] + len(g.IncidentEdges(i))
+	}
+	in.inc = slices.Grow(in.inc[:0], in.off[n])[:in.off[n]]
+	for i := 0; i < n; i++ {
+		pos := in.off[i]
 		for _, e := range g.IncidentEdges(i) {
 			u, v := g.EdgeEndpoints(e)
 			he := HalfEdge{Edge: int32(e), Other: int32(v), IsU: true}
@@ -38,14 +54,14 @@ func BuildIncidence(g *mrf.Graph) Incidence {
 				he.Other = int32(u)
 				he.IsU = false
 			}
-			inc[pos] = he
+			in.inc[pos] = he
 			pos++
 		}
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		g.EdgeMatT(e)
 	}
-	return Incidence{inc: inc, off: off}
+	return true
 }
 
 // Of returns the half edges of a node as a read-only view.
@@ -56,18 +72,17 @@ func (in *Incidence) Of(node int) []HalfEdge {
 // MessageOffsets lays out flat per-endpoint message storage for every edge:
 // intoU[e] is the offset of the message into edge e's U endpoint, intoV[e]
 // the offset of the message into its V endpoint, and total the buffer length
-// (message sizes are the endpoints' label counts).  Both message-passing
-// kernels share this layout.
-func MessageOffsets(g *mrf.Graph) (intoU, intoV []int, total int) {
+// (message sizes are the endpoints' label counts).  The slices passed in are
+// reused when large enough.  Both message-passing kernels share this layout.
+func MessageOffsets(g *mrf.Graph, intoU, intoV []int) (u, v []int, total int) {
 	nEdges := g.NumEdges()
-	intoU = make([]int, nEdges)
-	intoV = make([]int, nEdges)
+	intoU, intoV = slices.Grow(intoU[:0], nEdges)[:nEdges], slices.Grow(intoV[:0], nEdges)[:nEdges]
 	for e := 0; e < nEdges; e++ {
-		u, v := g.EdgeEndpoints(e)
+		a, b := g.EdgeEndpoints(e)
 		intoU[e] = total
-		total += g.NumLabels(u)
+		total += g.NumLabels(a)
 		intoV[e] = total
-		total += g.NumLabels(v)
+		total += g.NumLabels(b)
 	}
 	return intoU, intoV, total
 }

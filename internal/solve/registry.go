@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Factory creates a fresh kernel instance (kernels are stateful and
-// single-use; a new one is built per Solve call).
+// Factory creates a fresh kernel instance (kernels are stateful: Solve builds
+// a new one per call, callers that retain one re-run it through Run).
 type Factory func() Kernel
 
 var (

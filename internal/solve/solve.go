@@ -118,9 +118,17 @@ type Step struct {
 }
 
 // Kernel is the pure algorithmic core of one MRF solver.  Init is called
-// once, single-threaded, and must touch any lazily-built graph caches it
-// will read during Step (incident lists, transposed matrices) so that Step
-// may fan out across goroutines safely.
+// once per solve, single-threaded, and must touch any lazily-built graph
+// caches it will read during Step (incident lists, transposed matrices) so
+// that Step may fan out across goroutines safely.
+//
+// Init is re-callable: a kernel value may be handed to Run again — for the
+// same graph after it was patched, for a graph of another size, after a solve
+// that was cancelled mid-way — and must then behave exactly like a fresh
+// kernel.  Init resets all solver state; what it may keep is capacity,
+// refilling the previous solve's arenas in place.  That lets a long-lived
+// caller (core's delta path) retain its kernels and allocate nothing
+// O(edges) per warm re-solve.
 type Kernel interface {
 	// Init validates kernel-specific options and prepares the workspace.
 	Init(g *mrf.Graph, opts Options) error

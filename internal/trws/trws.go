@@ -14,6 +14,7 @@ package trws
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"netdiversity/internal/mrf"
@@ -39,8 +40,10 @@ type Kernel struct {
 	msgV []int
 	// gamma[i] = 1 / max(#forward, #backward) neighbours of node i.
 	gamma []float64
-	// scratch buffer reused across passes.
-	aggBuf []float64
+	// scratch reused across passes: one node's aggregate, and the labeling
+	// decode returns (the driver copies it before the next Step).
+	aggBuf  []float64
+	decoded []int
 
 	// Warm-start state (see WarmStart): passes visit only active nodes, the
 	// MRF is conditioned on the prior labels of the inactive boundary, and
@@ -54,23 +57,37 @@ type Kernel struct {
 }
 
 // Init builds the flat workspace and touches the graph's lazy caches
-// (incidence CSR, transposed matrices) so Step can fan out safely.
+// (incidence CSR, transposed matrices) so Step can fan out safely.  On a
+// retained kernel value (see solve.Kernel) it resets all solver state, keeps
+// what depends only on the topology while the topology is unchanged, and
+// refills the previous solve's arenas in place otherwise.
 func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 	k.g = g
 	k.opts = opts
-	k.n = g.NumNodes()
 	k.iter = 0
-	k.counts = make([]int, k.n)
+	k.warm = false
+	if k.inc.Build(g) {
+		k.layout()
+	}
+	clear(k.msg)
+	return nil
+}
+
+// layout derives what depends only on topology and label counts: message
+// offsets, the message arena's size and the node weights.
+func (k *Kernel) layout() {
+	g := k.g
+	k.n = g.NumNodes()
+	k.counts = slices.Grow(k.counts[:0], k.n)[:k.n]
 	for i := 0; i < k.n; i++ {
 		k.counts[i] = g.NumLabels(i)
 	}
 
 	var total int
-	k.msgU, k.msgV, total = solve.MessageOffsets(g)
-	k.msg = make([]float64, total)
-	k.inc = solve.BuildIncidence(g)
+	k.msgU, k.msgV, total = solve.MessageOffsets(g, k.msgU, k.msgV)
+	k.msg = slices.Grow(k.msg[:0], total)[:total]
 
-	k.gamma = make([]float64, k.n)
+	k.gamma = slices.Grow(k.gamma[:0], k.n)[:k.n]
 	for i := 0; i < k.n; i++ {
 		fwd, bwd := 0, 0
 		for _, he := range k.incident(i) {
@@ -89,11 +106,7 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 		}
 		k.gamma[i] = 1 / float64(d)
 	}
-	k.aggBuf = make([]float64, g.MaxLabels())
-	k.warm = false
-	k.prior = nil
-	k.active = nil
-	return nil
+	k.aggBuf = slices.Grow(k.aggBuf[:0], g.MaxLabels())[:g.MaxLabels()]
 }
 
 // WarmStart switches the kernel to incremental mode (solve.WarmKernel).
@@ -106,13 +119,15 @@ func (k *Kernel) WarmStart(labels []int, dirty []bool) error {
 	if len(labels) != k.n || len(dirty) != k.n {
 		return fmt.Errorf("trws: warm start needs %d labels and dirty flags", k.n)
 	}
-	k.prior = append([]int(nil), labels...)
-	k.active = append([]bool(nil), dirty...)
+	k.prior = append(k.prior[:0], labels...)
+	k.active = append(k.active[:0], dirty...)
 	k.warm = true
 	return nil
 }
 
-// Step runs one forward+backward sweep and decodes a primal labeling.
+// Step runs one forward+backward sweep and decodes a primal labeling into the
+// kernel's own buffer: the driver scores and copies it before the next Step
+// overwrites it.
 func (k *Kernel) Step() solve.Step {
 	k.pass(true)
 	k.pass(false)
@@ -332,18 +347,18 @@ func (k *Kernel) updateParallel(node int, targets []solve.HalfEdge, agg []float6
 // higher-indexed neighbours.  In warm mode inactive nodes keep their prior
 // label and active nodes condition on the frozen boundary.
 func (k *Kernel) decode() []int {
-	labels := make([]int, k.n)
+	k.decoded = slices.Grow(k.decoded[:0], k.n)[:k.n]
+	labels := k.decoded
 	if k.warm {
 		copy(labels, k.prior)
 	}
-	cost := make([]float64, 0, 64)
 	for node := 0; node < k.n; node++ {
 		if k.warm && !k.active[node] {
 			continue
 		}
 		kn := k.counts[node]
-		cost = cost[:0]
-		cost = append(cost, k.g.UnaryView(node)...)
+		cost := k.aggBuf[:kn]
+		copy(cost, k.g.UnaryView(node))
 		for _, he := range k.incident(node) {
 			if int(he.Other) < node || (k.warm && !k.active[he.Other]) {
 				// Lower neighbours are already decoded this pass; inactive

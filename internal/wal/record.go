@@ -145,16 +145,18 @@ func (r *Record) validate() error {
 	return nil
 }
 
-// Patch folds the record's assignment diff into a, in place, and verifies
-// the result against the journaled hash — the end-to-end check every replay
-// path (boot recovery, replica apply) runs before trusting a record.  On a
-// mismatch a holds the rejected state; callers patch a clone, or restart.
-func (r *Record) Patch(a *netmodel.Assignment) error {
-	a.ApplyPatch(r.Changed, r.Removed)
-	if got := a.Hash(); got != r.Hash {
-		return fmt.Errorf("wal: record %d replayed hash %s != journaled %s", r.Version, got, r.Hash)
+// Patch derives the assignment the record produces from the one it applies to
+// (netmodel.Assignment.With: a is not modified and shares every untouched host
+// with the result) and verifies the result against the journaled hash — the
+// end-to-end check every replay path (boot recovery, replica apply) runs before
+// trusting a record.  On a mismatch nothing is returned and a still is the last
+// verified state.
+func (r *Record) Patch(a *netmodel.Assignment) (*netmodel.Assignment, error) {
+	next := a.With(r.Changed, r.Removed)
+	if got := next.Hash(); got != r.Hash {
+		return nil, fmt.Errorf("wal: record %d replayed hash %s != journaled %s", r.Version, got, r.Hash)
 	}
-	return nil
+	return next, nil
 }
 
 // ApplyDeltas replays the record's accepted delta batch against net.  A

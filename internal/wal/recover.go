@@ -128,7 +128,7 @@ func (m *Manager) recoverSession(id string) (*Recovered, error) {
 			lastErr = fmt.Errorf("%w: snapshot claims id %q in directory %q", errBadSnapshot, snap.ID, id)
 			continue
 		}
-		rec, err := m.replaySession(dir, snap, segs)
+		rec, err := m.replaySession(snap, segs)
 		if err != nil {
 			lastErr = err
 			continue
@@ -146,44 +146,21 @@ func (m *Manager) recoverSession(id string) (*Recovered, error) {
 	return nil, fmt.Errorf("wal: session %s: no usable snapshot: %w", id, lastErr)
 }
 
-// errHashMismatch is an internal replay signal: record index replayed cleanly
-// at the framing level but its journaled assignment hash does not match the
-// replayed state.  Replay restarts with a limit that excludes the record.
-type errHashMismatch struct {
-	index int
-	err   error
-}
-
-func (e *errHashMismatch) Error() string {
-	return fmt.Sprintf("wal: replay record %d: %v", e.index, e.err)
-}
-
 // errStopReplay is the apply callback's signal that nothing later in the
-// session's log can apply (chain gap, replay limit).
+// session's log can apply (chain gap, hash mismatch).
 var errStopReplay = errors.New("wal: stop replay")
 
-// replaySession folds the log tail into the snapshot.  On a hash mismatch
-// at record k the replay restarts excluding records k and beyond — the
-// journaled hash chain makes everything after a mismatch untrustworthy.
-func (m *Manager) replaySession(dir string, snap *SessionSnapshot, segs []segment) (*Recovered, error) {
-	limit := math.MaxInt
-	for {
-		rec, err := m.replayOnce(snap, segs, limit)
-		var hm *errHashMismatch
-		if errors.As(err, &hm) {
-			limit = hm.index
-			continue
-		}
-		return rec, err
-	}
-}
-
-func (m *Manager) replayOnce(snap *SessionSnapshot, segs []segment, limit int) (*Recovered, error) {
+// replaySession folds the log tail into the snapshot.  Every record is
+// verified before it is applied — Patch derives the next assignment without
+// touching the current one — so a record whose journaled hash does not match
+// simply ends the replay at the last verified state: the hash chain makes
+// everything after a mismatch untrustworthy.
+func (m *Manager) replaySession(snap *SessionSnapshot, segs []segment) (*Recovered, error) {
 	net, cs, err := netmodel.FromSpec(snap.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("wal: session %s: rebuild network: %w", snap.ID, err)
 	}
-	assignment := snap.Assignment.Clone()
+	assignment := snap.Assignment
 	version := snap.Version
 	energy := snap.Energy
 	replayed := 0
@@ -196,18 +173,19 @@ func (m *Manager) replayOnce(snap *SessionSnapshot, segs []segment, limit int) (
 				// whose deletion failed); skip.
 				return nil
 			}
-			if r.PrevVersion != version || replayed >= limit {
+			if r.PrevVersion != version {
 				// Chain gap (a segment from a previous incarnation or a
-				// corrupt run) or the replay limit: nothing after it can
-				// apply.
+				// corrupt run): nothing after it can apply.
+				return errStopReplay
+			}
+			next, err := r.Patch(assignment)
+			if err != nil {
 				return errStopReplay
 			}
 			if err := r.ApplyDeltas(net); err != nil {
 				return err
 			}
-			if err := r.Patch(assignment); err != nil {
-				return &errHashMismatch{index: replayed, err: err}
-			}
+			assignment = next
 			version = r.Version
 			energy = r.Energy
 			replayed++
@@ -227,7 +205,7 @@ func (m *Manager) replayOnce(snap *SessionSnapshot, segs []segment, limit int) (
 			continue
 		}
 		if stop {
-			// An explicit stop (chain gap, replay limit): versions only grow,
+			// An explicit stop (chain gap, hash mismatch): versions only grow,
 			// so nothing in a later segment can chain past the break.
 			break
 		}

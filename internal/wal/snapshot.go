@@ -156,7 +156,9 @@ func readSnapshotFile(fs FS, path string) (*SessionSnapshot, error) {
 	if snap.Assignment == nil {
 		snap.Assignment = netmodel.NewAssignment()
 	}
-	if got := snap.Assignment.Hash(); got != snap.Hash {
+	// Sealed before anything can publish it: recovery derives from it and the
+	// serving plane shares it with readers as is.
+	if got := snap.Assignment.Seal().Hash(); got != snap.Hash {
 		return nil, fmt.Errorf("%w: %s: assignment hash %s != journaled %s",
 			errBadSnapshot, filepath.Base(path), got, snap.Hash)
 	}
