@@ -1,20 +1,22 @@
 // Command divbench runs a named benchmark suite over the scenario matrix
 // (topology × size × solver × attack model), writes the results as
-// machine-readable JSON and optionally diffs them against a baseline report,
-// exiting nonzero on a wall-clock regression.  It is the binary behind the
-// CI perf gate.
+// machine-readable JSON and optionally gates them against a baseline report,
+// exiting nonzero when a work counter regressed.  It is the binary behind the
+// CI perf gate and the tier-1 test that holds the checked-in baselines.
 //
 // Usage:
 //
-//	divbench -quick                           # the CI suite, writes BENCH_quick.json
+//	divbench                                  # the quick suite, writes BENCH_quick.json
 //	divbench -suite full -out bench.json      # the paper-scale matrix
-//	divbench -quick -baseline BENCH_quick.json -tolerance 0.15
+//	divbench -baseline BENCH_quick.json       # gate the quick suite; writes nothing
 //	divbench -list                            # known suites
 //
-// The report schema is documented in the README ("Benchmark harness"); the
-// diff tolerates relative wall-clock changes up to -tolerance and absolute
-// changes below -floor-ms, and never fails on cells that are new or missing
-// relative to the baseline (suite edits refresh the baseline on merge).
+// The report schema and the gate's rules are documented in
+// docs/BENCH_SCHEMA.md.  The gate compares only machine-independent counters
+// (energy, iterations, allocations, churn work, slam errors), each against a
+// bound fixed in internal/scenario, so it is armed on every machine; a cell
+// the baseline does not describe (new, missing, different instance) fails
+// until the baseline is regenerated with a plain `divbench -suite S`.
 package main
 
 import (
@@ -31,7 +33,7 @@ import (
 
 // errRegression distinguishes a perf-gate failure (exit 1 with the diff
 // already printed) from usage/runtime errors.
-var errRegression = errors.New("wall-clock regression against baseline")
+var errRegression = errors.New("work-counter regression against baseline")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -46,12 +48,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("divbench", flag.ContinueOnError)
 	var (
 		suiteName = fs.String("suite", "quick", "benchmark suite to run (see -list)")
-		quick     = fs.Bool("quick", false, "shorthand for -suite quick")
-		outPath   = fs.String("out", "", "output JSON path (default BENCH_<suite>.json)")
-		baseline  = fs.String("baseline", "", "baseline JSON report to diff against")
-		tolerance = fs.Float64("tolerance", 0.15, "relative wall-clock regression tolerance")
-		floorMS   = fs.Float64("floor-ms", 10, "absolute wall-clock change (ms) below which cells never regress")
-		strict    = fs.Bool("strict", false, "gate on the baseline even when it was produced in a different environment")
+		outPath   = fs.String("out", "", "output JSON path (default BENCH_<suite>.json; with -baseline, nothing is written unless set)")
+		baseline  = fs.String("baseline", "", "baseline JSON report to gate against")
 		seed      = fs.Int64("seed", 0, "override the suite's base seed (0 keeps the suite default)")
 		workers   = fs.Int("workers", 0, "override the cell worker pool size (0 keeps the suite default)")
 		timeout   = fs.Duration("timeout", 0, "override the per-cell timeout (0 keeps the suite default)")
@@ -66,9 +64,6 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	if *quick {
-		*suiteName = "quick"
-	}
 	m, err := scenario.Suite(*suiteName)
 	if err != nil {
 		return err
@@ -82,20 +77,18 @@ func run(args []string, out io.Writer) error {
 	if *timeout > 0 {
 		m.Timeout = *timeout
 	}
+	// A gated run never writes unless told where: the default path is the
+	// checked-in baseline itself, and replacing it with the numbers it just
+	// failed would make the next run pass.
 	path := *outPath
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", m.Name)
-	}
-	// Load the baseline before the run writes anything: with the default
-	// output path, -baseline often names the same file the fresh report is
-	// about to replace, and reading it afterwards would diff the run against
-	// itself (always a pass).
 	var base *scenario.Report
 	if *baseline != "" {
 		base, err = scenario.ReadFile(*baseline)
 		if err != nil {
 			return fmt.Errorf("loading baseline: %w", err)
 		}
+	} else if path == "" {
+		path = fmt.Sprintf("BENCH_%s.json", m.Name)
 	}
 
 	start := time.Now()
@@ -103,11 +96,14 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteFile(path); err != nil {
-		return err
+	fmt.Fprintf(out, "suite %s: %d cells in %.1fs", rep.Suite, len(rep.Cells), time.Since(start).Seconds())
+	if path != "" {
+		if err := rep.WriteFile(path); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, " -> %s", path)
 	}
-	fmt.Fprintf(out, "suite %s: %d cells in %.1fs -> %s\n",
-		rep.Suite, len(rep.Cells), time.Since(start).Seconds(), path)
+	fmt.Fprintln(out)
 	printSummary(out, rep)
 	timedOut := 0
 	for _, c := range rep.Cells {
@@ -129,31 +125,19 @@ func run(args []string, out io.Writer) error {
 	if base == nil {
 		return nil
 	}
-	return gate(out, base, rep, scenario.DiffOptions{Tolerance: *tolerance, FloorMS: *floorMS}, *strict)
+	return gate(out, base, rep)
 }
 
 // gate prints the diff of a fresh report against the baseline and decides
-// the exit status: errRegression when a cell regressed and the two reports
-// come from comparable environments (or strict is set).
-func gate(out io.Writer, base, rep *scenario.Report, opts scenario.DiffOptions, strict bool) error {
-	diff := scenario.Compare(base, rep, opts)
+// the exit status: errRegression when any cell fails it.
+func gate(out io.Writer, base, rep *scenario.Report) error {
+	diff := scenario.Compare(base, rep)
 	fmt.Fprint(out, diff.Render())
-	if !base.Env.Comparable(rep.Env) && !strict {
-		// Relative tolerance absorbs noise on one machine, not the speed gap
-		// between machines: gating a runner against a laptop baseline would
-		// measure the environment, not the change.  The gate arms itself once
-		// the committed baseline comes from the same environment class (e.g.
-		// the CI bench job's own artifact).
-		fmt.Fprintf(out, "NOTE: baseline environment (%s/%s, %d cpu) differs from this run (%s/%s, %d cpu); diff is informational, not gated (use -strict to gate anyway)\n",
-			base.Env.GOOS, base.Env.GOARCH, base.Env.NumCPU,
-			rep.Env.GOOS, rep.Env.GOARCH, rep.Env.NumCPU)
-		return nil
-	}
-	if diff.HasRegressions() {
-		fmt.Fprintln(out, "FAIL: wall-clock regression against baseline")
+	if diff.Fails() {
+		fmt.Fprintln(out, "FAIL:", errRegression)
 		return errRegression
 	}
-	fmt.Fprintln(out, "PASS: no regression against baseline")
+	fmt.Fprintln(out, "PASS: every gated counter within its bound of the baseline")
 	return nil
 }
 
@@ -172,7 +156,7 @@ func printSummary(out io.Writer, rep *scenario.Report) {
 		if c.Levels > 0 {
 			scale = true
 		}
-		if c.SlamOps > 0 {
+		if c.Slam != nil {
 			slam = true
 		}
 	}
@@ -207,30 +191,27 @@ func printSummary(out io.Writer, rep *scenario.Report) {
 		}
 	}
 	if slam {
-		fmt.Fprintf(out, "\nslam: closed-loop multi-tenant load (p99 under contention)\n")
-		fmt.Fprintf(out, "%-*s  %5s  %6s  %8s  %9s  %10s  %9s  %9s\n",
-			idWidth, "cell", "t/w", "errors", "rps", "read p99", "delta p99", "p999", "alloc/op")
+		fmt.Fprintf(out, "\nslam: closed-loop multi-tenant load\n")
 		for _, c := range rep.Cells {
-			if c.SlamOps == 0 {
-				continue
+			if c.Slam != nil {
+				fmt.Fprintf(out, "%s\n", c.ID)
+				c.Slam.Print(out)
 			}
-			fmt.Fprintf(out, "%-*s  %2d/%-2d  %6d  %8.1f  %7.2fms  %8.2fms  %7.2fms  %8.0fB\n",
-				idWidth, c.ID, c.SlamTenants, c.SlamWorkers, c.SlamErrors, c.SlamRPS,
-				c.SlamReadP99MS, c.SlamDeltaP99MS, c.SlamP999MS, c.SlamAllocPerOp)
 		}
 	}
 	if !churn {
 		return
 	}
 	fmt.Fprintf(out, "\nchurn: incremental Reoptimize vs full re-solve per delta step\n")
-	fmt.Fprintf(out, "%-*s  %5s  %10s  %10s  %8s  %9s  %9s\n",
-		idWidth, "cell", "steps", "inc ms", "full ms", "speedup", "gap %", "changed")
+	fmt.Fprintf(out, "%-*s  %5s  %10s  %10s  %8s  %9s  %9s  %7s  %6s  %9s\n",
+		idWidth, "cell", "steps", "inc ms", "full ms", "speedup", "gap %", "changed", "dirty", "sweeps", "alloc KiB")
 	for _, c := range rep.Cells {
 		if c.ChurnSteps == 0 {
 			continue
 		}
-		fmt.Fprintf(out, "%-*s  %5d  %10.1f  %10.1f  %7.1fx  %9.3f  %9.4f\n",
+		fmt.Fprintf(out, "%-*s  %5d  %10.1f  %10.1f  %7.1fx  %9.3f  %9.4f  %7d  %6d  %9d\n",
 			idWidth, c.ID, c.ChurnSteps, c.ChurnIncrementalMS, c.ChurnFullMS,
-			c.ChurnSpeedup, c.ChurnEnergyGapPct, c.ChurnChangedFrac)
+			c.ChurnSpeedup, c.ChurnEnergyGapPct, c.ChurnChangedFrac,
+			c.ChurnDirtyNodes, c.ChurnIterations, c.ChurnAllocBytes>>10)
 	}
 }

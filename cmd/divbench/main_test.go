@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"netdiversity/internal/scenario"
@@ -17,10 +19,13 @@ func TestList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"quick", "full", "pipeline", "churn", "serve"} {
+	for _, want := range []string{"quick", "full", "pipeline", "churn", "slam", "scale"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("suite list missing %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "serve") {
+		t.Errorf("the serve suite is gone (benchmark/run.sh times the daemon's endpoints):\n%s", out.String())
 	}
 }
 
@@ -31,24 +36,64 @@ func TestUnknownSuite(t *testing.T) {
 	}
 }
 
-// runQuick runs the quick suite once into a temp file and returns the report.
-func runQuick(t *testing.T, extra ...string) (*scenario.Report, string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	args := append([]string{"-quick", "-out", path}, extra...)
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run %v: %v\n%s", args, err, out.String())
+// quick is the package's one shared run of the quick suite, written through
+// the CLI's refresh path (no -baseline); TestMain removes its directory.
+var quick struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if quick.dir != "" {
+		os.RemoveAll(quick.dir)
 	}
-	rep, err := scenario.ReadFile(path)
+	os.Exit(code)
+}
+
+// quickPath returns the shared quick-suite report's file, running the suite
+// on first use.
+func quickPath(t *testing.T) string {
+	t.Helper()
+	quick.once.Do(func() {
+		if quick.dir, quick.err = os.MkdirTemp("", "divbench-quick"); quick.err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if quick.err = run([]string{"-out", filepath.Join(quick.dir, "bench.json")}, &out); quick.err != nil {
+			t.Log(out.String())
+		}
+	})
+	if quick.err != nil {
+		t.Fatalf("shared quick run: %v", quick.err)
+	}
+	return filepath.Join(quick.dir, "bench.json")
+}
+
+// quickReport returns a private copy of the shared report, free to doctor.
+func quickReport(t *testing.T) *scenario.Report {
+	t.Helper()
+	rep, err := scenario.ReadFile(quickPath(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, path
+	return rep
+}
+
+// mustNotHedge fails when gate output carries the vocabulary of the
+// environment-matched wall-clock gate this one replaced.
+func mustNotHedge(t *testing.T, out string) {
+	t.Helper()
+	for _, word := range []string{"informational", "strict"} {
+		if strings.Contains(out, word) {
+			t.Errorf("gate output says %q:\n%s", word, out)
+		}
+	}
 }
 
 func TestQuickSuiteWritesSchemaValidReport(t *testing.T) {
-	rep, path := runQuick(t)
+	rep := quickReport(t)
 	if rep.Suite != "quick" {
 		t.Errorf("suite name %q, want quick", rep.Suite)
 	}
@@ -63,8 +108,8 @@ func TestQuickSuiteWritesSchemaValidReport(t *testing.T) {
 	mc := 0
 	for _, c := range rep.Cells {
 		if c.Attack == "adv-full" {
-			if c.MCRunsPerSec <= 0 {
-				t.Errorf("cell %s has no Monte-Carlo throughput measurement", c.ID)
+			if c.MCRunsPerSec <= 0 || c.MCAllocPerRun == 0 {
+				t.Errorf("cell %s has no Monte-Carlo measurement", c.ID)
 			}
 			mc++
 		}
@@ -77,7 +122,7 @@ func TestQuickSuiteWritesSchemaValidReport(t *testing.T) {
 	}
 	// The file must parse as generic JSON too (schema stability for external
 	// consumers).
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(quickPath(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,103 +137,163 @@ func TestQuickSuiteWritesSchemaValidReport(t *testing.T) {
 	}
 }
 
-// TestBaselineComparePassesAgainstItself checks the gate's PASS path on one
-// report diffed against the copy of itself read back from disk: identical
-// numbers pass however tight the floor.  Two live runs of the suite are never
-// compared — their timings differ by more than the tolerance on a busy box.
 func TestBaselineComparePassesAgainstItself(t *testing.T) {
-	rep, path := runQuick(t)
-	base, err := scenario.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	if err := gate(&out, base, rep, scenario.DiffOptions{FloorMS: 0.001}, false); err != nil {
+	if err := gate(&out, quickReport(t), quickReport(t)); err != nil {
 		t.Fatalf("self-comparison should pass: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "PASS") {
 		t.Errorf("expected PASS in output:\n%s", out.String())
 	}
+	mustNotHedge(t, out.String())
+}
+
+// TestTwoLiveRunsCompareClean: a second live run of the suite gates clean
+// against the first — the counters the gate reads do not depend on how busy
+// the box was — and a gated run given -out does write its report.
+func TestTwoLiveRunsCompareClean(t *testing.T) {
+	fresh := filepath.Join(t.TempDir(), "new.json")
+	var out bytes.Buffer
+	if err := run([]string{"-baseline", quickPath(t), "-out", fresh}, &out); err != nil {
+		t.Fatalf("second live run should gate clean against the first: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "PASS") {
+		t.Errorf("expected PASS in output:\n%s", out.String())
+	}
+	mustNotHedge(t, out.String())
+	if _, err := scenario.ReadFile(fresh); err != nil {
+		t.Errorf("-out report: %v", err)
+	}
+}
+
+// doctorCounters turns a report into a baseline the run it came from must
+// fail against: every cell allocated a tenth less, the first reached a
+// lower energy and the second took one iteration fewer.
+func doctorCounters(rep *scenario.Report) {
+	for i := range rep.Cells {
+		rep.Cells[i].AllocObjects = rep.Cells[i].AllocObjects * 9 / 10
+	}
+	rep.Cells[0].Energy *= 1 - 1e-6
+	rep.Cells[1].Iterations--
 }
 
 func TestBaselineRegressionExitsNonzero(t *testing.T) {
-	rep, _ := runQuick(t)
-	// Doctor the baseline: claim every cell ran twice as fast as measured,
-	// with a margin far above the floor, so the fresh run must regress.
-	for i := range rep.Cells {
-		rep.Cells[i].WallMS = rep.Cells[i].WallMS / 2
-	}
-	doctored := filepath.Join(t.TempDir(), "doctored.json")
-	if err := rep.WriteFile(doctored); err != nil {
-		t.Fatal(err)
-	}
+	base, rep := quickReport(t), quickReport(t)
+	doctorCounters(base)
 	var out bytes.Buffer
-	err := run([]string{"-quick", "-out", filepath.Join(t.TempDir(), "new.json"),
-		"-baseline", doctored, "-floor-ms", "0.001"}, &out)
-	if !errors.Is(err, errRegression) {
-		t.Fatalf("doctored 2x-faster baseline should trip the gate, got err=%v\n%s", err, out.String())
+	if err := gate(&out, base, rep); !errors.Is(err, errRegression) {
+		t.Fatalf("doctored baseline should trip the gate, got err=%v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "regression") {
-		t.Errorf("expected regression verdicts in diff output:\n%s", out.String())
+	// The reason sits on the cell's row.
+	for i, reason := range []string{"energy", "iterations", "alloc_objects"} {
+		found := false
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, rep.Cells[i].ID+" ") && strings.Contains(line, "regression: "+reason) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no %q regression on the row of %s:\n%s", reason, rep.Cells[i].ID, out.String())
+		}
 	}
+	mustNotHedge(t, out.String())
 }
 
-func TestBaselineFromDifferentEnvironmentIsInformational(t *testing.T) {
-	rep, _ := runQuick(t)
-	// Same doctored 2x-faster timings, but recorded on a different machine
-	// class: the diff must print, the gate must not fire (and -strict must
-	// restore the hard gate).
-	for i := range rep.Cells {
-		rep.Cells[i].WallMS = rep.Cells[i].WallMS / 2
-	}
-	rep.Env.NumCPU++
-	doctored := filepath.Join(t.TempDir(), "doctored.json")
-	if err := rep.WriteFile(doctored); err != nil {
-		t.Fatal(err)
+// TestBaselineFromDifferentEnvironmentGates: where a baseline was recorded
+// and how fast that machine was neither disarms the gate nor trips it.
+func TestBaselineFromDifferentEnvironmentGates(t *testing.T) {
+	base, rep := quickReport(t), quickReport(t)
+	base.Env.NumCPU += 7
+	base.Env.GOMAXPROCS += 7
+	base.Env.GOARCH = "riscv64"
+	for i := range base.Cells {
+		base.Cells[i].WallMS /= 10
+		base.Cells[i].MCRunsPerSec *= 10
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-quick", "-out", filepath.Join(t.TempDir(), "new.json"),
-		"-baseline", doctored, "-floor-ms", "0.001"}, &out); err != nil {
-		t.Fatalf("cross-environment baseline should not gate: %v\n%s", err, out.String())
+	if err := gate(&out, base, rep); err != nil {
+		t.Fatalf("a faster foreign machine must not trip the gate: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "informational") {
-		t.Errorf("expected environment-mismatch notice:\n%s", out.String())
+	doctorCounters(base)
+	if err := gate(&out, base, rep); !errors.Is(err, errRegression) {
+		t.Fatalf("a foreign baseline must still gate the counters, got err=%v", err)
 	}
-	out.Reset()
-	err := run([]string{"-quick", "-out", filepath.Join(t.TempDir(), "new.json"),
-		"-baseline", doctored, "-floor-ms", "0.001", "-strict"}, &out)
-	if !errors.Is(err, errRegression) {
-		t.Fatalf("-strict should gate across environments, got err=%v", err)
-	}
+	mustNotHedge(t, out.String())
 }
 
-// TestBaselineReadBeforeOverwrite pins the fix for the self-diff footgun:
-// when -baseline names the same file the fresh report is written to (the
-// default layout, where both are BENCH_<suite>.json), the baseline must be
-// loaded before the run overwrites it — otherwise the diff would compare
-// the run against itself and always pass.
-func TestBaselineReadBeforeOverwrite(t *testing.T) {
-	rep, _ := runQuick(t)
-	for i := range rep.Cells {
-		rep.Cells[i].WallMS = rep.Cells[i].WallMS / 2
+// TestGatedRunLeavesBaselineUntouched: a gated run without -out writes
+// nothing — least of all over the baseline it was judged against, which is
+// what BENCH_<suite>.json, the default output path, usually is.  Otherwise a
+// failing local run would install the regressed numbers as the baseline and
+// the next run would pass.
+func TestGatedRunLeavesBaselineUntouched(t *testing.T) {
+	base := quickReport(t)
+	doctorCounters(base)
+	dir := t.TempDir()
+	if err := base.WriteFile(filepath.Join(dir, "BENCH_quick.json")); err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_quick.json")
-	if err := rep.WriteFile(path); err != nil {
+	t.Chdir(dir)
+	before, err := os.ReadFile("BENCH_quick.json")
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run([]string{"-quick", "-out", path, "-baseline", path, "-floor-ms", "0.001"}, &out)
-	if !errors.Is(err, errRegression) {
-		t.Fatalf("baseline at the output path must be diffed pre-overwrite (and trip the doctored gate), got err=%v\n%s",
-			err, out.String())
+	if err := run([]string{"-baseline", "BENCH_quick.json"}, &out); !errors.Is(err, errRegression) {
+		t.Fatalf("doctored baseline should trip the gate, got err=%v\n%s", err, out.String())
+	}
+	after, err := os.ReadFile("BENCH_quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a failing gated run rewrote its baseline")
+	}
+	if entries, _ := os.ReadDir("."); len(entries) != 1 {
+		t.Errorf("a gated run without -out wrote files: %v", entries)
 	}
 }
 
 func TestBaselineMissingFile(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-quick", "-out", filepath.Join(t.TempDir(), "new.json"),
-		"-baseline", filepath.Join(t.TempDir(), "nope.json")}, &out)
+	err := run([]string{"-baseline", filepath.Join(t.TempDir(), "nope.json")}, &out)
 	if err == nil || errors.Is(err, errRegression) {
 		t.Errorf("missing baseline should be a hard error, got %v", err)
+	}
+}
+
+// TestCheckedInBaselinesHold arms the gate in tier-1: the quick, churn and
+// slam suites, run here, must pass the same gate CI applies against the
+// repository's BENCH_*.json (scale stays CI-only for its run time).  A
+// change that moves a counter on purpose regenerates the file:
+// go run ./cmd/divbench -suite <suite>.
+func TestCheckedInBaselinesHold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the churn and slam suites")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's runtime changes allocation counts")
+	}
+	for _, suite := range []string{"quick", "churn", "slam"} {
+		t.Run(suite, func(t *testing.T) {
+			base, err := scenario.ReadFile(filepath.Join("..", "..", "BENCH_"+suite+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := quickReport(t)
+			if suite != "quick" {
+				m, err := scenario.Suite(suite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep, err = scenario.Run(context.Background(), m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var out bytes.Buffer
+			if err := gate(&out, base, rep); err != nil {
+				t.Fatalf("BENCH_%s.json no longer holds: %v\n%s", suite, err, out.String())
+			}
+		})
 	}
 }

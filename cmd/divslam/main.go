@@ -44,7 +44,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -128,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
 
-	rep, err := slam.Run(ctx, cfg, func(r slam.RunResult) { printRun(out, r) })
+	rep, err := slam.Run(ctx, cfg, func(r slam.RunResult) { r.Print(out) })
 	if err != nil {
 		return err
 	}
@@ -157,59 +156,4 @@ func reportJSON(rep *slam.Report) (string, error) {
 		return "", err
 	}
 	return string(data), nil
-}
-
-// printRun renders one sub-run as an aligned summary table.
-func printRun(out io.Writer, r slam.RunResult) {
-	head := fmt.Sprintf("%s · %d tenants · %d workers", r.Config.Mode, r.Config.Tenants, r.Config.Workers)
-	if r.VaryValue != "" {
-		head += " · vary=" + r.VaryValue
-	}
-	fmt.Fprintf(out, "%s\n", head)
-	if r.OfferedRPS > 0 {
-		fmt.Fprintf(out, "  offered %.1f rps, achieved %.1f rps over %.1fs (setup %.0fms)\n",
-			r.OfferedRPS, r.AchievedRPS, r.DurationS, r.SetupMS)
-	} else {
-		fmt.Fprintf(out, "  achieved %.1f rps over %.1fs (setup %.0fms)\n",
-			r.AchievedRPS, r.DurationS, r.SetupMS)
-	}
-	fmt.Fprintf(out, "  %-8s %8s %7s %9s %9s %9s %9s\n", "op", "count", "errors", "p50 ms", "p99 ms", "p999 ms", "max ms")
-	rows := make([]string, 0, len(r.Ops))
-	for op := range r.Ops {
-		rows = append(rows, op)
-	}
-	sort.Strings(rows)
-	for _, op := range rows {
-		st := r.Ops[op]
-		fmt.Fprintf(out, "  %-8s %8d %7d %9.2f %9.2f %9.2f %9.2f\n",
-			op, st.Count, st.Errors, st.P50MS, st.P99MS, st.P999MS, st.MaxMS)
-	}
-	st := r.Total
-	fmt.Fprintf(out, "  %-8s %8d %7d %9.2f %9.2f %9.2f %9.2f\n",
-		"total", st.Count, st.Errors, st.P50MS, st.P99MS, st.P999MS, st.MaxMS)
-	if st.Errors > 0 {
-		fmt.Fprintf(out, "  errors: %d×429 %d×503 %d×504 %d×other %d×transport\n",
-			st.Status429, st.Status503, st.Status504, st.StatusOther, st.TransportErrors)
-	}
-	if st.Retries > 0 {
-		fmt.Fprintf(out, "  retries: %d consumed on 429/503 backpressure\n", st.Retries)
-	}
-	if r.Mem != nil {
-		fmt.Fprintf(out, "  mem: %s alloc (%s/op), %d GCs, max pause %.2f ms\n",
-			formatBytes(r.Mem.AllocBytes), formatBytes(uint64(r.Mem.AllocBytesPerOp)), r.Mem.GCCount, r.Mem.MaxPauseMS)
-	}
-}
-
-// formatBytes renders a byte count with a binary unit suffix.
-func formatBytes(b uint64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", b)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -230,6 +231,10 @@ type churnMetrics struct {
 	maxGapPct     float64
 	changedFrac   float64
 	finalEnergy   float64
+	// Work counters of the incremental path, summed over the steps.
+	dirtyNodes int
+	iterations int
+	allocBytes uint64
 }
 
 // runChurn replays the delta stream through the incremental engine and,
@@ -238,11 +243,13 @@ type churnMetrics struct {
 // which is mutated in place); sim is the cell's similarity table.
 func runChurn(ctx context.Context, opt *core.Optimizer, net *netmodel.Network, sim *vulnsim.SimilarityTable, deltas []netmodel.Delta, opts core.Options) (churnMetrics, error) {
 	var m churnMetrics
+	var memPre, memPost runtime.MemStats
 	prev := opt.LastAssignment()
 	for _, d := range deltas {
-		// The incremental timer covers the whole step the engine pays for a
-		// delta: the in-place patch (including a possible compacting
-		// rebuild) plus the warm re-solve.
+		// The incremental timer and allocation window cover the whole step
+		// the engine pays for a delta: the in-place patch (including a
+		// possible compacting rebuild) plus the warm re-solve.
+		runtime.ReadMemStats(&memPre)
 		start := time.Now()
 		if err := opt.ApplyDelta(d); err != nil {
 			return m, fmt.Errorf("churn step %d: apply: %w", m.steps, err)
@@ -252,6 +259,10 @@ func runChurn(ctx context.Context, opt *core.Optimizer, net *netmodel.Network, s
 			return m, fmt.Errorf("churn step %d: reoptimize: %w", m.steps, err)
 		}
 		m.incrementalMS += float64(time.Since(start)) / float64(time.Millisecond)
+		runtime.ReadMemStats(&memPost)
+		m.allocBytes += memPost.TotalAlloc - memPre.TotalAlloc
+		m.dirtyNodes += inc.DirtyNodes
+		m.iterations += inc.Iterations
 
 		// The honest non-incremental baseline: build + cold solve of the
 		// mutated network, exactly what a batch system would redo per change.

@@ -146,6 +146,9 @@ func TestExecChurnCell(t *testing.T) {
 	if m.ChurnIncrementalMS <= 0 || m.ChurnFullMS <= 0 || m.ChurnSpeedup <= 0 {
 		t.Fatalf("churn wall-clocks missing: %+v", m)
 	}
+	if m.ChurnDirtyNodes <= 0 || m.ChurnIterations <= 0 || m.ChurnAllocBytes == 0 {
+		t.Fatalf("churn work counters missing: %+v", m)
+	}
 	if m.ChurnChangedFrac < 0 || m.ChurnChangedFrac > 1 {
 		t.Fatalf("changed fraction out of range: %v", m.ChurnChangedFrac)
 	}

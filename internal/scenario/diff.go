@@ -2,69 +2,73 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
-// DiffOptions tunes the baseline comparison.
-type DiffOptions struct {
-	// Tolerance is the relative wall-clock change tolerated before a cell
-	// counts as a regression (or an improvement).  Default 0.15.
-	Tolerance float64
-	// FloorMS is the absolute wall-clock change (milliseconds) a cell must
-	// additionally exceed: sub-floor cells are too fast for a relative
-	// tolerance to be meaningful in CI.  Default 10ms.
-	FloorMS float64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.15
-	}
-	if o.FloorMS <= 0 {
-		o.FloorMS = 10
-	}
-	return o
-}
+// The gate compares only what a run of the same code reproduces on any
+// machine: the solvers' deterministic outputs, exactly, and allocation
+// counters, within a bound.  Every bound is a constant chosen from the spread
+// of five repeated runs (recorded in CHANGES.md, PR 23); wall-clock columns
+// are carried through the diff for the reader and never gate.
+const (
+	// energyBound is the relative rise of the objective tolerated as
+	// floating-point noise; the solvers are deterministic per seed, so any
+	// real rise is a quality regression.
+	energyBound = 1e-9
+	// allocBound is the relative growth tolerated on the allocation counters
+	// of a solve, a churn stream and a Monte-Carlo campaign — 5%, the bound
+	// the pinned benchmark's alloc_kb_per_op uses.  Their run-to-run noise
+	// is absolute, not relative: ±5 objects and, in one run of six or so,
+	// 5.5 KB extra, whatever the cell's size (allocations the runtime makes
+	// on its own account).  That is under 0.1% of most cells but 4% of
+	// the flat scale cells' ~100 objects and 0.6% of the smallest churn
+	// stream's bytes, so the two slacks — ten times the noise — are added on
+	// top of the relative bound.
+	allocBound        = 0.05
+	allocObjectsSlack = 50
+	allocBytesSlack   = 64 << 10
+	// slamAllocBound is the same for a slam cell's bytes per request, which
+	// additionally vary with how the concurrent workers interleave (which
+	// deltas coalesce, who wins a writer slot): five-run spread 2.5%.
+	slamAllocBound = 0.25
+	// churnGapBound is the absolute worsening, in percentage points, of a
+	// churn cell's worst-step energy gap over a from-scratch re-solve: the
+	// incremental path is allowed noise, not a quality slide.
+	churnGapBound = 1.0
+)
 
 // Verdict classifies one cell of a baseline diff.
 type Verdict string
 
 const (
-	// VerdictOK means the wall-clock change is within tolerance.
+	// VerdictOK means every gated counter is within its bound.
 	VerdictOK Verdict = "ok"
-	// VerdictRegression means the cell got slower than tolerance allows.
+	// VerdictRegression means a gated counter got worse than its bound
+	// allows; the delta's Note names it.
 	VerdictRegression Verdict = "regression"
-	// VerdictImprovement means the cell got faster than tolerance requires.
-	VerdictImprovement Verdict = "improvement"
 	// VerdictError means the cell failed in the current run but completed in
-	// the baseline (counts as a regression for the exit code).
+	// the baseline.
 	VerdictError Verdict = "error"
 	// VerdictTimeout means the cell hit its per-cell deadline in the current
 	// run.  Timeouts never fail the gate: scale suites deliberately carry
 	// cells (flat solvers at the largest sizes) that age out as the matrix
 	// grows, and a slow runner must degrade a report, not break CI.
 	VerdictTimeout Verdict = "timed_out"
-	// VerdictNew means the cell has no baseline counterpart.
+	// VerdictNew means the cell has no baseline counterpart.  Like missing
+	// and stale it fails the gate: the baseline does not describe this run,
+	// counters of different work cannot be compared, and passing would
+	// silently disarm the cell.
 	VerdictNew Verdict = "new"
 	// VerdictMissing means the baseline cell is absent from the current run.
 	VerdictMissing Verdict = "missing"
+	// VerdictStale means the two cells solved different instances (seed,
+	// graph size, churn stream length or slam request count differ).
+	VerdictStale Verdict = "stale"
 )
 
-// churnGapSlackPts is the absolute worsening (in percentage points) of a
-// churn cell's worst-step energy gap tolerated before the cell counts as a
-// regression: the incremental path is allowed noise, not a quality slide.
-const churnGapSlackPts = 1.0
-
-// Monte-Carlo attack-engine gates.  The campaigns of a CI cell finish in
-// well under a millisecond, so the throughput measurement is far noisier
-// than a cell wall-clock; only a halving — the scale of an engine
-// regression, not of scheduler jitter — fails the gate.  The per-run
-// allocation is near-deterministic (compile cost amortised over the runs)
-// and gated tightly: the engine's zero-alloc steady state must not erode.
-const (
-	mcThroughputSlack = 0.5
-	mcAllocSlackBytes = 4096
-)
+// regenerate is the note on every cell the baseline does not describe.
+const regenerate = "regenerate the baseline"
 
 // CellDelta compares one cell across two reports.
 type CellDelta struct {
@@ -74,28 +78,14 @@ type CellDelta struct {
 	Ratio       float64 // NewMS / OldMS; 0 when either side is absent
 	DeltaEnergy float64 // NewEnergy - OldEnergy
 	Verdict     Verdict
-	// ChurnNote explains a churn-metric regression (incremental wall-clock
-	// or energy-gap) that fired independently of the WallMS comparison.
-	ChurnNote string
-	// MCNote explains a Monte-Carlo attack-engine regression (simulation
-	// throughput or per-run allocation) that fired independently of the
-	// WallMS comparison.
-	MCNote string
-	// ServeNote explains a serving-plane regression (create or delta request
-	// latency) that fired independently of the WallMS comparison.
-	ServeNote string
-	// SlamNote explains a load-phase regression (p99 under concurrent
-	// multi-tenant load, or errors appearing where the baseline had none)
-	// that fired independently of the WallMS comparison.
-	SlamNote string
+	// Note is the one-line reason behind a failing verdict.
+	Note string
 }
 
 // Diff is the cell-by-cell comparison of a run against a baseline.
 type Diff struct {
-	Suite     string
-	Tolerance float64
-	FloorMS   float64
-	Cells     []CellDelta
+	Suite string
+	Cells []CellDelta
 }
 
 // Counts tallies the verdicts.
@@ -107,11 +97,11 @@ func (d Diff) Counts() map[Verdict]int {
 	return out
 }
 
-// HasRegressions reports whether any cell regressed (including cells that
-// errored in the current run but completed in the baseline).
-func (d Diff) HasRegressions() bool {
+// Fails reports whether any cell fails the gate: everything except ok and
+// timed_out does.
+func (d Diff) Fails() bool {
 	for _, c := range d.Cells {
-		if c.Verdict == VerdictRegression || c.Verdict == VerdictError {
+		if c.Verdict != VerdictOK && c.Verdict != VerdictTimeout {
 			return true
 		}
 	}
@@ -119,119 +109,124 @@ func (d Diff) HasRegressions() bool {
 }
 
 // Compare diffs the current report against a baseline, cell by cell (matched
-// on the stable cell ID).  Cells appearing in only one report are reported as
-// new/missing but never fail the gate: a suite edit legitimately changes the
-// cell set, and the baseline is refreshed on merge.
-func Compare(baseline, current *Report, opts DiffOptions) Diff {
-	opts = opts.withDefaults()
-	d := Diff{Suite: current.Suite, Tolerance: opts.Tolerance, FloorMS: opts.FloorMS}
+// on the stable cell ID), on machine-independent fields only; the reports'
+// environment blocks are not consulted.
+func Compare(baseline, current *Report) Diff {
+	d := Diff{Suite: current.Suite}
 	for _, cur := range current.Cells {
 		old, ok := baseline.Cell(cur.ID)
 		if !ok {
-			d.Cells = append(d.Cells, CellDelta{ID: cur.ID, NewMS: cur.WallMS, Verdict: VerdictNew})
+			d.Cells = append(d.Cells, CellDelta{ID: cur.ID, NewMS: cur.WallMS, Verdict: VerdictNew, Note: regenerate})
 			continue
 		}
-		delta := CellDelta{
-			ID:          cur.ID,
-			OldMS:       old.WallMS,
-			NewMS:       cur.WallMS,
-			DeltaEnergy: cur.Energy - old.Energy,
-		}
+		delta := CellDelta{ID: cur.ID, OldMS: old.WallMS, NewMS: cur.WallMS, Verdict: VerdictOK}
 		switch {
 		case cur.TimedOut:
 			delta.Verdict = VerdictTimeout
-		case cur.Error != "" && old.Error == "":
-			delta.Verdict = VerdictError
 		case old.Error != "" || old.TimedOut:
 			// A baseline cell that itself failed or timed out carries no
-			// usable timing (divbench refuses to gate-pass a report with
-			// failed cells, but a stale or hand-edited baseline could still
-			// contain one, and timed-out cells are kept by design).
-			delta.Verdict = VerdictOK
-		case old.WallMS > 0:
-			delta.Ratio = cur.WallMS / old.WallMS
-			switch {
-			case cur.WallMS > old.WallMS*(1+opts.Tolerance) && cur.WallMS-old.WallMS > opts.FloorMS:
-				delta.Verdict = VerdictRegression
-			case cur.WallMS < old.WallMS*(1-opts.Tolerance) && old.WallMS-cur.WallMS > opts.FloorMS:
-				delta.Verdict = VerdictImprovement
-			default:
-				delta.Verdict = VerdictOK
-			}
+			// usable counters (divbench refuses to pass a report with failed
+			// cells, but a hand-edited baseline could still contain one, and
+			// timed-out cells are kept by design).
+		case cur.Error != "":
+			delta.Verdict, delta.Note = VerdictError, cur.Error
 		default:
-			delta.Verdict = VerdictOK
-		}
-		// Churn cells additionally gate the incremental path itself: WallMS
-		// only covers the initial cold solve, so a Reoptimize slowdown or a
-		// quality slide must fail on its own metrics.
-		if delta.Verdict != VerdictError && old.Error == "" && old.ChurnSteps > 0 && cur.ChurnSteps > 0 {
-			switch {
-			case cur.ChurnIncrementalMS > old.ChurnIncrementalMS*(1+opts.Tolerance) &&
-				cur.ChurnIncrementalMS-old.ChurnIncrementalMS > opts.FloorMS:
-				delta.Verdict = VerdictRegression
-				delta.ChurnNote = fmt.Sprintf("churn incremental %.1fms -> %.1fms", old.ChurnIncrementalMS, cur.ChurnIncrementalMS)
-			case cur.ChurnEnergyGapPct > old.ChurnEnergyGapPct+churnGapSlackPts:
-				delta.Verdict = VerdictRegression
-				delta.ChurnNote = fmt.Sprintf("churn energy gap %.2f%% -> %.2f%%", old.ChurnEnergyGapPct, cur.ChurnEnergyGapPct)
+			delta.DeltaEnergy = cur.Energy - old.Energy
+			if old.WallMS > 0 {
+				delta.Ratio = cur.WallMS / old.WallMS
 			}
-		}
-		// Serve cells gate the serving plane's request latencies: WallMS
-		// covers only the library-level solve, so a slowdown in the HTTP
-		// create path or the per-delta re-optimisation path must fail on its
-		// own metrics.
-		if delta.Verdict != VerdictError && old.Error == "" && old.ServeCreateMS > 0 && cur.ServeCreateMS > 0 {
-			switch {
-			case cur.ServeCreateMS > old.ServeCreateMS*(1+opts.Tolerance) &&
-				cur.ServeCreateMS-old.ServeCreateMS > opts.FloorMS:
-				delta.Verdict = VerdictRegression
-				delta.ServeNote = fmt.Sprintf("serve create %.1fms -> %.1fms", old.ServeCreateMS, cur.ServeCreateMS)
-			case cur.ServeDeltaMS > old.ServeDeltaMS*(1+opts.Tolerance) &&
-				cur.ServeDeltaMS-old.ServeDeltaMS > opts.FloorMS:
-				delta.Verdict = VerdictRegression
-				delta.ServeNote = fmt.Sprintf("serve delta %.1fms -> %.1fms", old.ServeDeltaMS, cur.ServeDeltaMS)
-			}
-		}
-		// Slam cells gate the serving plane under concurrent multi-tenant
-		// load: WallMS covers only the library-level solve, so a p99 collapse
-		// under contention — or errors where the baseline run was clean —
-		// must fail on its own metrics.
-		if delta.Verdict != VerdictError && old.Error == "" && old.SlamOps > 0 && cur.SlamOps > 0 {
-			switch {
-			case cur.SlamErrors > 0 && old.SlamErrors == 0:
-				delta.Verdict = VerdictRegression
-				delta.SlamNote = fmt.Sprintf("slam errors 0 -> %d", cur.SlamErrors)
-			case cur.SlamReadP99MS > old.SlamReadP99MS*(1+opts.Tolerance) &&
-				cur.SlamReadP99MS-old.SlamReadP99MS > opts.FloorMS:
-				delta.Verdict = VerdictRegression
-				delta.SlamNote = fmt.Sprintf("slam read p99 %.1fms -> %.1fms", old.SlamReadP99MS, cur.SlamReadP99MS)
-			case cur.SlamDeltaP99MS > old.SlamDeltaP99MS*(1+opts.Tolerance) &&
-				cur.SlamDeltaP99MS-old.SlamDeltaP99MS > opts.FloorMS:
-				delta.Verdict = VerdictRegression
-				delta.SlamNote = fmt.Sprintf("slam delta p99 %.1fms -> %.1fms", old.SlamDeltaP99MS, cur.SlamDeltaP99MS)
-			}
-		}
-		// Monte-Carlo attack cells gate the simulation engine itself: WallMS
-		// covers only the solve, so a throughput collapse or an allocation
-		// creep in the batched simulator must fail on its own metrics.
-		if delta.Verdict != VerdictError && old.Error == "" && old.MCRunsPerSec > 0 && cur.MCRunsPerSec > 0 {
-			switch {
-			case cur.MCRunsPerSec < old.MCRunsPerSec*(1-mcThroughputSlack):
-				delta.Verdict = VerdictRegression
-				delta.MCNote = fmt.Sprintf("mc throughput %.0f -> %.0f runs/s", old.MCRunsPerSec, cur.MCRunsPerSec)
-			case cur.MCAllocPerRun > old.MCAllocPerRun+mcAllocSlackBytes &&
-				float64(cur.MCAllocPerRun) > float64(old.MCAllocPerRun)*(1+opts.Tolerance):
-				delta.Verdict = VerdictRegression
-				delta.MCNote = fmt.Sprintf("mc allocs %dB -> %dB per run", old.MCAllocPerRun, cur.MCAllocPerRun)
+			if note := staleNote(old, cur); note != "" {
+				delta.Verdict, delta.Note = VerdictStale, note+": "+regenerate
+			} else if note := regressionNote(old, cur); note != "" {
+				delta.Verdict, delta.Note = VerdictRegression, note
 			}
 		}
 		d.Cells = append(d.Cells, delta)
 	}
 	for _, old := range baseline.Cells {
 		if _, ok := current.Cell(old.ID); !ok {
-			d.Cells = append(d.Cells, CellDelta{ID: old.ID, OldMS: old.WallMS, Verdict: VerdictMissing})
+			d.Cells = append(d.Cells, CellDelta{ID: old.ID, OldMS: old.WallMS, Verdict: VerdictMissing, Note: regenerate})
 		}
 	}
 	return d
+}
+
+// slamOps is the completed-request count of a cell's slam phase (0 without
+// one).
+func slamOps(m Measurement) int64 {
+	if m.Slam == nil {
+		return 0
+	}
+	return m.Slam.Total.Count
+}
+
+// staleNote names the first field showing that the two cells solved
+// different instances, or returns "".
+func staleNote(old, cur Measurement) string {
+	for _, f := range []struct {
+		name     string
+		old, cur int64
+	}{
+		{"seed", old.Seed, cur.Seed},
+		{"nodes", int64(old.Nodes), int64(cur.Nodes)},
+		{"edges", int64(old.Edges), int64(cur.Edges)},
+		{"churn_steps", int64(old.ChurnSteps), int64(cur.ChurnSteps)},
+		{"slam.total.count", slamOps(old), slamOps(cur)},
+	} {
+		if f.old != f.cur {
+			return fmt.Sprintf("%s %d -> %d", f.name, f.old, f.cur)
+		}
+	}
+	return ""
+}
+
+// counter is one lower-is-better gated quantity of a cell pair.
+type counter struct {
+	name     string
+	old, cur float64
+	bound    float64 // relative growth tolerated; 0 = exact
+	slack    float64 // absolute growth tolerated on top
+}
+
+// regressionNote names the first gated counter of cur that is worse than
+// old by more than its bound, or returns "".  Every rule is one-sided: an
+// improvement always passes.
+func regressionNote(old, cur Measurement) string {
+	if cur.Energy > old.Energy+energyBound*math.Abs(old.Energy) {
+		return fmt.Sprintf("energy %.9g -> %.9g", old.Energy, cur.Energy)
+	}
+	if old.Converged && !cur.Converged {
+		return "converged true -> false"
+	}
+	if cur.ChurnEnergyGapPct > old.ChurnEnergyGapPct+churnGapBound {
+		return fmt.Sprintf("churn_energy_gap_pct %.2f -> %.2f", old.ChurnEnergyGapPct, cur.ChurnEnergyGapPct)
+	}
+	counters := []counter{
+		{"iterations", float64(old.Iterations), float64(cur.Iterations), 0, 0},
+		{"alloc_objects", float64(old.AllocObjects), float64(cur.AllocObjects), allocBound, allocObjectsSlack},
+		{"alloc_bytes", float64(old.AllocBytes), float64(cur.AllocBytes), allocBound, allocBytesSlack},
+		{"mc_alloc_per_run", float64(old.MCAllocPerRun), float64(cur.MCAllocPerRun), allocBound, 0},
+		{"churn_dirty_nodes", float64(old.ChurnDirtyNodes), float64(cur.ChurnDirtyNodes), 0, 0},
+		{"churn_iterations", float64(old.ChurnIterations), float64(cur.ChurnIterations), 0, 0},
+		{"churn_alloc_bytes", float64(old.ChurnAllocBytes), float64(cur.ChurnAllocBytes), allocBound, allocBytesSlack},
+	}
+	if old.Slam != nil && cur.Slam != nil {
+		counters = append(counters, counter{"slam.total.errors", float64(old.Slam.Total.Errors), float64(cur.Slam.Total.Errors), 0, 0})
+		if old.Slam.Mem != nil && cur.Slam.Mem != nil {
+			counters = append(counters, counter{"slam.mem.alloc_bytes_per_op",
+				old.Slam.Mem.AllocBytesPerOp, cur.Slam.Mem.AllocBytesPerOp, slamAllocBound, 0})
+		}
+	}
+	for _, c := range counters {
+		if c.cur > c.old*(1+c.bound)+c.slack {
+			note := fmt.Sprintf("%s %.0f -> %.0f", c.name, c.old, c.cur)
+			if c.bound > 0 {
+				note += fmt.Sprintf(" (bound +%g%%)", c.bound*100)
+			}
+			return note
+		}
+	}
+	return ""
 }
 
 // Render returns the diff as aligned text: one row per cell plus a summary
@@ -239,8 +234,7 @@ func Compare(baseline, current *Report, opts DiffOptions) Diff {
 // greppable across versions.
 func (d Diff) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "baseline diff — suite %s (tolerance %.0f%%, floor %.0fms)\n",
-		d.Suite, d.Tolerance*100, d.FloorMS)
+	fmt.Fprintf(&b, "baseline diff — suite %s (work counters gate; the ms columns are for the reader)\n", d.Suite)
 	idWidth := len("cell")
 	for _, c := range d.Cells {
 		if len(c.ID) > idWidth {
@@ -259,30 +253,18 @@ func (d Diff) Render() string {
 		}
 		if c.Ratio > 0 {
 			ratio = fmt.Sprintf("%.2f", c.Ratio)
-		}
-		switch c.Verdict {
-		case VerdictOK, VerdictRegression, VerdictImprovement:
 			energy = fmt.Sprintf("%.3f", c.DeltaEnergy)
 		}
 		verdict := string(c.Verdict)
-		if c.ChurnNote != "" {
-			verdict += " (" + c.ChurnNote + ")"
-		}
-		if c.MCNote != "" {
-			verdict += " (" + c.MCNote + ")"
-		}
-		if c.ServeNote != "" {
-			verdict += " (" + c.ServeNote + ")"
-		}
-		if c.SlamNote != "" {
-			verdict += " (" + c.SlamNote + ")"
+		if c.Note != "" {
+			verdict += ": " + c.Note
 		}
 		fmt.Fprintf(&b, "%-*s  %10s  %10s  %7s  %10s  %s\n",
 			idWidth, c.ID, old, cur, ratio, energy, verdict)
 	}
 	counts := d.Counts()
-	fmt.Fprintf(&b, "summary: %d regressions, %d errors, %d timeouts, %d improvements, %d ok, %d new, %d missing\n",
-		counts[VerdictRegression], counts[VerdictError], counts[VerdictTimeout], counts[VerdictImprovement],
-		counts[VerdictOK], counts[VerdictNew], counts[VerdictMissing])
+	fmt.Fprintf(&b, "summary: %d regressions, %d errors, %d stale, %d new, %d missing, %d timeouts, %d ok\n",
+		counts[VerdictRegression], counts[VerdictError], counts[VerdictStale], counts[VerdictNew],
+		counts[VerdictMissing], counts[VerdictTimeout], counts[VerdictOK])
 	return b.String()
 }

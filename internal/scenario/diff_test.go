@@ -4,112 +4,192 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"netdiversity/internal/slam"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the diff golden file")
 
-// diffFixtures builds a baseline and a current report exercising every
-// verdict: ok, regression, improvement, error, new and missing, plus a
-// sub-floor change that must not trip the gate.
-func diffFixtures() (*Report, *Report) {
-	report := func(cells []Measurement) *Report {
-		return &Report{
-			SchemaVersion: SchemaVersion,
-			Suite:         "quick",
-			GeneratedAt:   "2026-07-28T00:00:00Z",
-			Cells:         cells,
-		}
-	}
-	baseline := report([]Measurement{
-		{ID: "uniform/h50/d6/s2/trws/recon", WallMS: 100, Energy: 10},
-		{ID: "uniform/h200/d6/s2/trws/recon", WallMS: 400, Energy: 40},
-		{ID: "zoned/h200/d6/s2/bp/recon", WallMS: 300, Energy: 30},
-		{ID: "zoned/h50/d6/s2/icm/recon", WallMS: 10, Energy: 5},
-		{ID: "uniform/h200/d6/s2/anneal/recon", WallMS: 250, Energy: 25},
-		{ID: "zoned/h200/d6/s2/anneal/recon", WallMS: 150, Energy: 15},
-		{ID: "uniform/h10000/d8/s3/trws/none", WallMS: 2000, Energy: 200},
-	})
-	current := report([]Measurement{
-		{ID: "uniform/h50/d6/s2/trws/recon", WallMS: 104, Energy: 10},          // ok: +4%
-		{ID: "uniform/h200/d6/s2/trws/recon", WallMS: 800, Energy: 40},         // regression: 2x
-		{ID: "zoned/h200/d6/s2/bp/recon", WallMS: 150, Energy: 29.5},           // improvement: 2x faster
-		{ID: "zoned/h50/d6/s2/icm/recon", WallMS: 18, Energy: 5},               // ok: +80% but below the 10ms floor
-		{ID: "uniform/h200/d6/s2/anneal/recon", Error: "solver panicked"},      // error
-		{ID: "uniform/h10000/d8/s3/trws/none", WallMS: 180000, TimedOut: true}, // timed_out: never gates
-		{ID: "uniform/h50/d6/s2/bp/recon", WallMS: 90, Energy: 9},              // new
-	})
-	return baseline, current
-}
-
-func TestCompareVerdicts(t *testing.T) {
-	baseline, current := diffFixtures()
-	d := Compare(baseline, current, DiffOptions{})
-	want := map[string]Verdict{
-		"uniform/h50/d6/s2/trws/recon":    VerdictOK,
-		"uniform/h200/d6/s2/trws/recon":   VerdictRegression,
-		"zoned/h200/d6/s2/bp/recon":       VerdictImprovement,
-		"zoned/h50/d6/s2/icm/recon":       VerdictOK,
-		"uniform/h200/d6/s2/anneal/recon": VerdictError,
-		"uniform/h10000/d8/s3/trws/none":  VerdictTimeout,
-		"uniform/h50/d6/s2/bp/recon":      VerdictNew,
-		"zoned/h200/d6/s2/anneal/recon":   VerdictMissing,
-	}
-	if len(d.Cells) != len(want) {
-		t.Fatalf("diff has %d cells, want %d", len(d.Cells), len(want))
-	}
-	for _, c := range d.Cells {
-		if c.Verdict != want[c.ID] {
-			t.Errorf("cell %s: verdict %s, want %s", c.ID, c.Verdict, want[c.ID])
-		}
-	}
-	if !d.HasRegressions() {
-		t.Error("diff with a regression and an errored cell should report regressions")
-	}
-}
-
-func TestCompareDoctoredFasterBaseline(t *testing.T) {
-	// The acceptance scenario of the CI gate: a baseline doctored to claim a
-	// cell ran 2x faster must register as a regression.
-	baseline, _ := diffFixtures()
-	current := &Report{
-		SchemaVersion: SchemaVersion,
-		Suite:         "quick",
-		Cells: []Measurement{
-			{ID: "uniform/h200/d6/s2/trws/recon", WallMS: 800, Energy: 40},
+// gateCell is a completed cell carrying every gated counter and every
+// wall-clock column: a quick-suite Monte-Carlo cell, a churn cell and a slam
+// cell rolled into one.
+func gateCell() Measurement {
+	return Measurement{
+		ID: "c", Seed: 7, Nodes: 600, Edges: 2400,
+		Energy: 100, Iterations: 12, Converged: true,
+		WallMS: 50, AllocObjects: 10000, AllocBytes: 1 << 20,
+		MCRunsPerSec: 1e5, MCAllocPerRun: 2000,
+		Churn: "mixed10", ChurnSteps: 5, ChurnIncrementalMS: 40, ChurnFullMS: 400, ChurnSpeedup: 10,
+		ChurnEnergyGapPct: -0.5, ChurnDirtyNodes: 300, ChurnIterations: 25, ChurnAllocBytes: 1 << 20,
+		Slam: &slam.RunResult{
+			AchievedRPS: 8000,
+			Total:       slam.OpStats{Count: 4000, OK: 4000, P99MS: 5, P999MS: 9},
+			Ops:         map[string]slam.OpStats{slam.OpRead: {Count: 2800, P99MS: 4}, slam.OpDelta: {Count: 600, P99MS: 8}},
+			Mem:         &slam.MemReport{AllocBytesPerOp: 20000},
 		},
 	}
-	d := Compare(baseline, current, DiffOptions{Tolerance: 0.15})
-	if !d.HasRegressions() {
-		t.Fatal("a cell twice as slow as the baseline must regress at 15% tolerance")
+}
+
+// gateReport wraps cells into a schema-valid report.
+func gateReport(cells ...Measurement) *Report {
+	return &Report{SchemaVersion: SchemaVersion, Suite: "quick", GeneratedAt: "2026-07-28T00:00:00Z", Cells: cells}
+}
+
+// scaleTimings multiplies every wall-clock column of the cell by f.
+func scaleTimings(m *Measurement, f float64) {
+	m.WallMS *= f
+	m.ChurnIncrementalMS *= f
+	m.ChurnFullMS *= f
+	m.MCRunsPerSec /= f
+	m.Slam.AchievedRPS /= f
+	m.Slam.Total.P99MS *= f
+	m.Slam.Total.P999MS *= f
+	for op, st := range m.Slam.Ops {
+		st.P99MS *= f
+		m.Slam.Ops[op] = st
 	}
 }
 
+// gateRules is the gate's rule table: each row doctors a baseline/current
+// pair of gateCell reports and names the verdict (and the reason) cell "c" —
+// or the row's own cell — must get.  Every verdict but ok and timed_out must
+// fail the diff.
+var gateRules = []struct {
+	group, name string
+	doctor      func(base, cur *Report)
+	cell        string // "" = "c"
+	want        Verdict
+	note        string // substring of the one-line reason
+}{
+	{"solve", "iterations +1", func(_, cur *Report) { cur.Cells[0].Iterations++ }, "", VerdictRegression, "iterations 12 -> 13"},
+	{"solve", "energy +1e-6 relative", func(_, cur *Report) { cur.Cells[0].Energy *= 1 + 1e-6 }, "", VerdictRegression, "energy 100 -> 100.0001"},
+	{"solve", "alloc_objects over its bound", func(_, cur *Report) { cur.Cells[0].AllocObjects = 10600 }, "", VerdictRegression, "alloc_objects 10000 -> 10600 (bound +5%)"},
+	{"solve", "alloc_bytes over its bound", func(_, cur *Report) { cur.Cells[0].AllocBytes += 1 << 17 }, "", VerdictRegression, "alloc_bytes"},
+	{"solve", "converged true -> false", func(_, cur *Report) { cur.Cells[0].Converged = false }, "", VerdictRegression, "converged true -> false"},
+	{"solve", "cell error", func(_, cur *Report) { cur.Cells[0] = Measurement{ID: "c", Error: "solver panicked"} }, "", VerdictError, "solver panicked"},
+	{"solve", "timed-out cell", func(_, cur *Report) { cur.Cells[0] = Measurement{ID: "c", WallMS: 60000, TimedOut: true} }, "", VerdictTimeout, ""},
+	{"solve", "new cell", func(_, cur *Report) { cur.Cells = append(cur.Cells, Measurement{ID: "extra"}) }, "extra", VerdictNew, regenerate},
+	{"solve", "missing cell", func(base, _ *Report) { base.Cells = append(base.Cells, Measurement{ID: "gone"}) }, "gone", VerdictMissing, regenerate},
+	{"solve", "changed seed", func(_, cur *Report) { cur.Cells[0].Seed = 8 }, "", VerdictStale, "seed 7 -> 8: " + regenerate},
+	{"solve", "changed graph", func(_, cur *Report) { cur.Cells[0].Edges++ }, "", VerdictStale, "edges 2400 -> 2401"},
+
+	{"mc", "mc_alloc_per_run over its bound", func(_, cur *Report) { cur.Cells[0].MCAllocPerRun = 2120 }, "", VerdictRegression, "mc_alloc_per_run 2000 -> 2120"},
+	{"mc", "mc_runs_per_sec collapsed", func(_, cur *Report) { cur.Cells[0].MCRunsPerSec /= 10 }, "", VerdictOK, ""},
+
+	{"churn", "churn_dirty_nodes +1", func(_, cur *Report) { cur.Cells[0].ChurnDirtyNodes++ }, "", VerdictRegression, "churn_dirty_nodes 300 -> 301"},
+	{"churn", "churn_iterations +1", func(_, cur *Report) { cur.Cells[0].ChurnIterations++ }, "", VerdictRegression, "churn_iterations 25 -> 26"},
+	{"churn", "churn_alloc_bytes over its bound", func(_, cur *Report) { cur.Cells[0].ChurnAllocBytes += 1 << 17 }, "", VerdictRegression, "churn_alloc_bytes"},
+	{"churn", "energy gap +1.1 points", func(_, cur *Report) { cur.Cells[0].ChurnEnergyGapPct += 1.1 }, "", VerdictRegression, "churn_energy_gap_pct -0.50 -> 0.60"},
+	{"churn", "churn_incremental_ms x10", func(_, cur *Report) { cur.Cells[0].ChurnIncrementalMS *= 10 }, "", VerdictOK, ""},
+	{"churn", "changed stream length", func(_, cur *Report) { cur.Cells[0].ChurnSteps = 4 }, "", VerdictStale, "churn_steps 5 -> 4"},
+
+	{"slam", "errors 0 -> 3", func(_, cur *Report) { cur.Cells[0].Slam.Total.Errors = 3 }, "", VerdictRegression, "slam.total.errors 0 -> 3"},
+	{"slam", "alloc per op over its bound", func(_, cur *Report) { cur.Cells[0].Slam.Mem.AllocBytesPerOp = 26000 }, "", VerdictRegression, "slam.mem.alloc_bytes_per_op 20000 -> 26000 (bound +25%)"},
+	{"slam", "p99s x10", func(_, cur *Report) {
+		cur.Cells[0].Slam.Total.P99MS *= 10
+		cur.Cells[0].Slam.Ops[slam.OpDelta] = slam.OpStats{Count: 600, P99MS: 80}
+	}, "", VerdictOK, ""},
+	{"slam", "changed op budget", func(_, cur *Report) { cur.Cells[0].Slam.Total.Count = 400 }, "", VerdictStale, "slam.total.count 4000 -> 400"},
+	{"slam", "slam phase gone", func(_, cur *Report) { cur.Cells[0].Slam = nil }, "", VerdictStale, "slam.total.count 4000 -> 0"},
+
+	// The environment block and every timing may differ tenfold either way.
+	{"foreign", "baseline from a 10x faster machine", func(base, _ *Report) {
+		base.Env = Environment{GoVersion: "go1.99", GOOS: "plan9", GOARCH: "riscv64", NumCPU: 64, GOMAXPROCS: 64}
+		scaleTimings(&base.Cells[0], 0.1)
+	}, "", VerdictOK, ""},
+	{"foreign", "baseline from a 10x slower machine", func(base, _ *Report) {
+		base.Env = Environment{GoVersion: "go1.99", GOOS: "plan9", GOARCH: "riscv64", NumCPU: 1, GOMAXPROCS: 1}
+		scaleTimings(&base.Cells[0], 10)
+	}, "", VerdictOK, ""},
+
+	{"clean", "identical", func(_, _ *Report) {}, "", VerdictOK, ""},
+	{"clean", "every bounded counter just inside its bound", func(_, cur *Report) {
+		c := &cur.Cells[0]
+		c.Energy *= 1 + 1e-12
+		c.AllocObjects, c.AllocBytes, c.MCAllocPerRun = 10540, (1<<20)+110000, 2090
+		c.ChurnAllocBytes += 110000
+		c.ChurnEnergyGapPct += 0.9
+		c.Slam.Mem.AllocBytesPerOp = 24000
+	}, "", VerdictOK, ""},
+	{"clean", "every counter improved", func(base, cur *Report) {
+		base.Cells[0].Converged = false
+		base.Cells[0].Slam.Total.Errors = 3
+		c := &cur.Cells[0]
+		c.Energy--
+		c.Iterations--
+		c.AllocObjects, c.AllocBytes, c.MCAllocPerRun = 5000, 1<<19, 1000
+		c.ChurnDirtyNodes--
+		c.ChurnIterations--
+		c.ChurnAllocBytes /= 2
+		c.ChurnEnergyGapPct -= 2
+		c.Slam.Mem.AllocBytesPerOp /= 2
+	}, "", VerdictOK, ""},
+}
+
+// runGateRules runs one group of the rule table.
+func runGateRules(t *testing.T, group string) {
+	for _, tc := range gateRules {
+		if tc.group != group {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			base, cur := gateReport(gateCell()), gateReport(gateCell())
+			tc.doctor(base, cur)
+			d := Compare(base, cur)
+			id := tc.cell
+			if id == "" {
+				id = "c"
+			}
+			var got *CellDelta
+			for i := range d.Cells {
+				if d.Cells[i].ID == id {
+					got = &d.Cells[i]
+				}
+			}
+			if got == nil {
+				t.Fatalf("diff has no row for cell %q: %+v", id, d.Cells)
+			}
+			if got.Verdict != tc.want || !strings.Contains(got.Note, tc.note) || strings.Contains(got.Note, "\n") {
+				t.Errorf("verdict %s (%q), want %s (%q)", got.Verdict, got.Note, tc.want, tc.note)
+			}
+			passes := tc.want == VerdictOK || tc.want == VerdictTimeout
+			if d.Fails() == passes {
+				t.Errorf("Fails() = %v for verdict %s", d.Fails(), tc.want)
+			}
+			if !passes && got.Note == "" {
+				t.Error("a failing verdict needs a reason")
+			}
+		})
+	}
+}
+
+// The gate's rules live in one table (gateRules); these are its groups.
+func TestCompareVerdicts(t *testing.T)               { runGateRules(t, "solve") }
+func TestCompareGatesMCMetrics(t *testing.T)         { runGateRules(t, "mc") }
+func TestCompareGatesChurnMetrics(t *testing.T)      { runGateRules(t, "churn") }
+func TestCompareGatesSlamMetrics(t *testing.T)       { runGateRules(t, "slam") }
+func TestCompareDoctoredFasterBaseline(t *testing.T) { runGateRules(t, "foreign") }
+func TestCompareWithinToleranceClean(t *testing.T)   { runGateRules(t, "clean") }
+
+// TestCompareErroredBaselineCellNeverGates: a baseline cell that itself
+// failed or timed out has no usable counters, so whatever the current cell
+// did — completed, or failed too — it is not classified by garbage.
 func TestCompareErroredBaselineCellNeverGates(t *testing.T) {
-	// A baseline cell that itself failed has no usable timing: a healthy
-	// current run must not be classified by the garbage numbers (neither as
-	// an improvement against a timed-out 60s wall nor as a regression
-	// against an early-abort 0.1ms wall).
-	baseline := &Report{
-		SchemaVersion: SchemaVersion,
-		Suite:         "quick",
-		Cells: []Measurement{
-			{ID: "a", WallMS: 60000, Error: "context deadline exceeded", TimedOut: true},
-			{ID: "b", WallMS: 0.1, Error: "boom"},
-			{ID: "c", WallMS: 60000, TimedOut: true}, // timeout marker, no error
-		},
+	baseline := gateReport(
+		Measurement{ID: "a", WallMS: 60000, Error: "context deadline exceeded", TimedOut: true},
+		Measurement{ID: "b", WallMS: 0.1, Error: "boom"},
+		Measurement{ID: "c", WallMS: 60000, TimedOut: true}, // timeout marker, no error
+		Measurement{ID: "d", WallMS: 0.1, Error: "boom"},
+	)
+	done := gateCell()
+	current := gateReport(done, done, done, Measurement{ID: "d", Error: "still boom"})
+	for i, id := range []string{"a", "b", "c"} {
+		current.Cells[i].ID = id
 	}
-	current := &Report{
-		SchemaVersion: SchemaVersion,
-		Suite:         "quick",
-		Cells: []Measurement{
-			{ID: "a", WallMS: 50},
-			{ID: "b", WallMS: 50},
-			{ID: "c", WallMS: 50},
-		},
-	}
-	d := Compare(baseline, current, DiffOptions{})
-	if d.HasRegressions() {
+	d := Compare(baseline, current)
+	if d.Fails() {
 		t.Error("errored baseline cells must not gate the current run")
 	}
 	for _, c := range d.Cells {
@@ -119,30 +199,39 @@ func TestCompareErroredBaselineCellNeverGates(t *testing.T) {
 	}
 }
 
-func TestCompareWithinToleranceClean(t *testing.T) {
-	baseline, _ := diffFixtures()
-	d := Compare(baseline, baseline, DiffOptions{})
-	if d.HasRegressions() {
-		t.Error("comparing a report against itself should never regress")
-	}
-	for _, c := range d.Cells {
-		if c.Verdict != VerdictOK {
-			t.Errorf("cell %s: verdict %s, want ok", c.ID, c.Verdict)
-		}
-	}
-}
-
-// TestDiffRenderGolden pins the diff's text layout so the CI log format only
-// changes deliberately (refresh with go test ./internal/scenario -run Golden
-// -update-golden).
+// TestDiffRenderGolden pins the diff's text layout, one row per verdict, so
+// the CI log format only changes deliberately (refresh with go test
+// ./internal/scenario -run Golden -update-golden).
 func TestDiffRenderGolden(t *testing.T) {
-	baseline, current := diffFixtures()
-	got := Compare(baseline, current, DiffOptions{}).Render()
+	cell := func(id string, wallMS, energy float64) Measurement {
+		return Measurement{ID: id, Seed: 1, Nodes: 100, Edges: 400, WallMS: wallMS, Energy: energy, Iterations: 10, AllocObjects: 5000}
+	}
+	baseline := gateReport(
+		cell("uniform/h50/d6/s2/trws/recon", 100, 10),
+		cell("uniform/h200/d6/s2/trws/recon", 400, 40),
+		cell("zoned/h200/d6/s2/bp/recon", 300, 30),
+		cell("uniform/h200/d6/s2/anneal/recon", 250, 25),
+		cell("zoned/h200/d6/s2/anneal/recon", 150, 15),
+		cell("zoned/h50/d6/s2/icm/recon", 10, 5),
+		cell("uniform/h10000/d8/s3/trws/none", 2000, 200),
+	)
+	slower, fewer := cell("uniform/h200/d6/s2/trws/recon", 800, 40), cell("zoned/h200/d6/s2/bp/recon", 150, 29.5)
+	slower.AllocObjects = 9000
+	fewer.AllocObjects = 3000
+	reseeded := cell("zoned/h50/d6/s2/icm/recon", 18, 5.5)
+	reseeded.Seed = 2
+	current := gateReport(
+		cell("uniform/h50/d6/s2/trws/recon", 104, 10), // ok
+		slower, // regression: allocations
+		fewer,  // ok: better energy, fewer allocations, faster
+		Measurement{ID: "uniform/h200/d6/s2/anneal/recon", Error: "solver panicked"},
+		reseeded, // stale
+		Measurement{ID: "uniform/h10000/d8/s3/trws/none", WallMS: 180000, TimedOut: true},
+		cell("uniform/h50/d6/s2/bp/recon", 90, 9), // new
+	)
+	got := Compare(baseline, current).Render()
 	golden := filepath.Join("testdata", "diff_golden.txt")
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -153,86 +242,5 @@ func TestDiffRenderGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("diff rendering drifted from the golden file:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestCompareGatesMCMetrics verifies that Monte-Carlo attack cells regress on
-// the engine's own throughput/allocation metrics even when the solve
-// wall-clock is unchanged.
-func TestCompareGatesMCMetrics(t *testing.T) {
-	base := &Report{SchemaVersion: SchemaVersion, Suite: "quick", Cells: []Measurement{
-		{ID: "m1", WallMS: 50, MCRunsPerSec: 100000, MCAllocPerRun: 2000},
-		{ID: "m2", WallMS: 50, MCRunsPerSec: 100000, MCAllocPerRun: 2000},
-		{ID: "m3", WallMS: 50, MCRunsPerSec: 100000, MCAllocPerRun: 2000},
-		{ID: "m4", WallMS: 50, MCRunsPerSec: 100000, MCAllocPerRun: 2000},
-	}}
-	cur := &Report{SchemaVersion: SchemaVersion, Suite: "quick", Cells: []Measurement{
-		// m1: throughput collapsed to a third.
-		{ID: "m1", WallMS: 50, MCRunsPerSec: 33000, MCAllocPerRun: 2000},
-		// m2: per-run allocation grew 5x past both the slack and tolerance.
-		{ID: "m2", WallMS: 50, MCRunsPerSec: 100000, MCAllocPerRun: 10000},
-		// m3: throughput jitter well inside the slack.
-		{ID: "m3", WallMS: 50, MCRunsPerSec: 70000, MCAllocPerRun: 2100},
-		// m4: allocation delta above tolerance but under the absolute slack.
-		{ID: "m4", WallMS: 50, MCRunsPerSec: 100000, MCAllocPerRun: 3000},
-	}}
-	d := Compare(base, cur, DiffOptions{})
-	verdicts := map[string]Verdict{}
-	notes := map[string]string{}
-	for _, c := range d.Cells {
-		verdicts[c.ID] = c.Verdict
-		notes[c.ID] = c.MCNote
-	}
-	if verdicts["m1"] != VerdictRegression || notes["m1"] == "" {
-		t.Fatalf("throughput collapse not gated: %v %q", verdicts["m1"], notes["m1"])
-	}
-	if verdicts["m2"] != VerdictRegression || notes["m2"] == "" {
-		t.Fatalf("allocation creep not gated: %v %q", verdicts["m2"], notes["m2"])
-	}
-	if verdicts["m3"] != VerdictOK {
-		t.Fatalf("in-slack throughput jitter flagged: %v (%q)", verdicts["m3"], notes["m3"])
-	}
-	if verdicts["m4"] != VerdictOK {
-		t.Fatalf("sub-slack allocation delta flagged: %v (%q)", verdicts["m4"], notes["m4"])
-	}
-	if !d.HasRegressions() {
-		t.Fatal("diff reports no regressions")
-	}
-}
-
-// TestCompareGatesChurnMetrics verifies that churn cells regress on their own
-// incremental metrics even when the initial-solve wall-clock is unchanged.
-func TestCompareGatesChurnMetrics(t *testing.T) {
-	base := &Report{SchemaVersion: SchemaVersion, Suite: "churn", Cells: []Measurement{
-		{ID: "c1", WallMS: 50, ChurnSteps: 5, ChurnIncrementalMS: 40, ChurnEnergyGapPct: -0.5},
-		{ID: "c2", WallMS: 50, ChurnSteps: 5, ChurnIncrementalMS: 40, ChurnEnergyGapPct: -0.5},
-		{ID: "c3", WallMS: 50, ChurnSteps: 5, ChurnIncrementalMS: 40, ChurnEnergyGapPct: -0.5},
-	}}
-	cur := &Report{SchemaVersion: SchemaVersion, Suite: "churn", Cells: []Measurement{
-		// c1: incremental path 3x slower, cold solve unchanged.
-		{ID: "c1", WallMS: 50, ChurnSteps: 5, ChurnIncrementalMS: 120, ChurnEnergyGapPct: -0.5},
-		// c2: quality slide beyond the slack.
-		{ID: "c2", WallMS: 50, ChurnSteps: 5, ChurnIncrementalMS: 40, ChurnEnergyGapPct: 1.2},
-		// c3: within tolerance on both.
-		{ID: "c3", WallMS: 50, ChurnSteps: 5, ChurnIncrementalMS: 43, ChurnEnergyGapPct: -0.4},
-	}}
-	d := Compare(base, cur, DiffOptions{})
-	verdicts := map[string]Verdict{}
-	notes := map[string]string{}
-	for _, c := range d.Cells {
-		verdicts[c.ID] = c.Verdict
-		notes[c.ID] = c.ChurnNote
-	}
-	if verdicts["c1"] != VerdictRegression || notes["c1"] == "" {
-		t.Fatalf("incremental slowdown not gated: %v %q", verdicts["c1"], notes["c1"])
-	}
-	if verdicts["c2"] != VerdictRegression || notes["c2"] == "" {
-		t.Fatalf("energy-gap slide not gated: %v %q", verdicts["c2"], notes["c2"])
-	}
-	if verdicts["c3"] != VerdictOK {
-		t.Fatalf("in-tolerance churn cell flagged: %v", verdicts["c3"])
-	}
-	if !d.HasRegressions() {
-		t.Fatal("diff reports no regressions")
 	}
 }

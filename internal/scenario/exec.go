@@ -11,6 +11,7 @@ import (
 	"netdiversity/internal/core"
 	"netdiversity/internal/metrics"
 	"netdiversity/internal/netmodel"
+	"netdiversity/internal/slam"
 	"netdiversity/internal/vulnsim"
 )
 
@@ -65,7 +66,10 @@ type Measurement struct {
 	// the worst per-step energy gap of incremental over full in percent
 	// (negative when the incremental path won); ChurnChangedFrac is the mean
 	// fraction of surviving hosts whose assignment changed per step
-	// (assignment stability).
+	// (assignment stability).  ChurnDirtyNodes, ChurnIterations and
+	// ChurnAllocBytes sum, over the steps, the dirty frontier handed to the
+	// warm solve, its sweeps and the bytes the apply + reoptimize step
+	// allocated: the incremental path's work, independent of the clock.
 	Churn              string  `json:"churn,omitempty"`
 	ChurnSteps         int     `json:"churn_steps,omitempty"`
 	ChurnIncrementalMS float64 `json:"churn_incremental_ms,omitempty"`
@@ -73,51 +77,15 @@ type Measurement struct {
 	ChurnSpeedup       float64 `json:"churn_speedup,omitempty"`
 	ChurnEnergyGapPct  float64 `json:"churn_energy_gap_pct,omitempty"`
 	ChurnChangedFrac   float64 `json:"churn_changed_frac,omitempty"`
+	ChurnDirtyNodes    int     `json:"churn_dirty_nodes,omitempty"`
+	ChurnIterations    int     `json:"churn_iterations,omitempty"`
+	ChurnAllocBytes    uint64  `json:"churn_alloc_bytes,omitempty"`
 
-	// Serve fields (present only on serve-latency cells): the cell's network
-	// driven end-to-end through an in-process divd instance over loopback
-	// HTTP.  ServeCreateMS is the POST /v1/networks latency (spec decode +
-	// cold solve); ServeDeltaMS the mean POST .../deltas latency (delta
-	// validation + incremental re-optimisation) over the cell's delta
-	// stream; ServeAssessMS the POST .../assess latency (campaign compile +
-	// Monte-Carlo batch); ServeReadsPerSec the sequential GET .../assignment
-	// throughput (lock-free snapshot reads).
-	ServeCreateMS    float64 `json:"serve_create_ms,omitempty"`
-	ServeDeltaMS     float64 `json:"serve_delta_ms,omitempty"`
-	ServeAssessMS    float64 `json:"serve_assess_ms,omitempty"`
-	ServeReadsPerSec float64 `json:"serve_reads_per_sec,omitempty"`
-
-	// Slam fields (present only on slam-load cells): a closed-loop
-	// multi-tenant load run (internal/slam) against an in-process divd —
-	// SlamTenants sessions of the cell's network shape under SlamWorkers
-	// concurrent workers for SlamOps completed requests of the default
-	// operation mix.  SlamErrors counts non-2xx/transport outcomes (zero on
-	// a healthy run); SlamRPS is the achieved successful-request throughput;
-	// SlamSetupMS the untimed tenant-creation phase; the quantiles are
-	// per-operation latencies under contention, from merged worker-count-
-	// invariant histograms: SlamReadP50/P99MS the lock-free snapshot read,
-	// SlamDeltaP50/P99MS the incremental re-optimisation path, SlamP999MS
-	// the tail over all operations.
-	// SlamProfile names the load shape ("base" cells omit it for baseline
-	// continuity); SlamAllocPerOp/SlamGCCount/SlamMaxPauseMS report the
-	// in-process heap pressure of the measured phase (bytes allocated per
-	// completed request, GC cycles, longest pause), so serve-path
-	// allocation regressions gate alongside latency.
-	SlamTenants    int     `json:"slam_tenants,omitempty"`
-	SlamWorkers    int     `json:"slam_workers,omitempty"`
-	SlamOps        int64   `json:"slam_ops,omitempty"`
-	SlamProfile    string  `json:"slam_profile,omitempty"`
-	SlamErrors     int64   `json:"slam_errors,omitempty"`
-	SlamRPS        float64 `json:"slam_rps,omitempty"`
-	SlamSetupMS    float64 `json:"slam_setup_ms,omitempty"`
-	SlamReadP50MS  float64 `json:"slam_read_p50_ms,omitempty"`
-	SlamReadP99MS  float64 `json:"slam_read_p99_ms,omitempty"`
-	SlamDeltaP50MS float64 `json:"slam_delta_p50_ms,omitempty"`
-	SlamDeltaP99MS float64 `json:"slam_delta_p99_ms,omitempty"`
-	SlamP999MS     float64 `json:"slam_p999_ms,omitempty"`
-	SlamAllocPerOp float64 `json:"slam_alloc_per_op,omitempty"`
-	SlamGCCount    uint32  `json:"slam_gc_count,omitempty"`
-	SlamMaxPauseMS float64 `json:"slam_max_pause_ms,omitempty"`
+	// Slam is the load phase of a slam cell: the cell's profile run closed
+	// loop against an in-process divd, reported in the form divslam writes
+	// (slam.RunResult, histogram buckets stripped; docs/LOADTEST.md explains
+	// every field).
+	Slam *slam.RunResult `json:"slam,omitempty"`
 
 	// Scale fields (present only on graph-direct multilevel cells):
 	// CoarsenMS is the wall-clock of the hierarchy build inside the solve,
@@ -268,41 +236,12 @@ func Exec(ctx context.Context, net *netmodel.Network, sim *vulnsim.SimilarityTab
 	meta.MCRunsPerSec = atk.MCRunsPerSec
 	meta.MCAllocPerRun = atk.MCAllocPerRun
 
-	if c.Serve {
-		sb, err := runServeBench(ctx, net, sim, c)
+	if c.SlamProfile != "" {
+		meta.Slam, err = runSlamBench(ctx, c)
 		if err != nil {
 			meta.TimedOut = errors.Is(err, context.DeadlineExceeded)
 			return Outcome{Measurement: meta}, err
 		}
-		meta.ServeCreateMS = sb.createMS
-		meta.ServeDeltaMS = sb.deltaMS
-		meta.ServeAssessMS = sb.assessMS
-		meta.ServeReadsPerSec = sb.readsPerSec
-	}
-
-	if c.Slam {
-		sb, err := runSlamBench(ctx, c)
-		if err != nil {
-			meta.TimedOut = errors.Is(err, context.DeadlineExceeded)
-			return Outcome{Measurement: meta}, err
-		}
-		meta.SlamTenants = sb.tenants
-		meta.SlamWorkers = sb.workers
-		meta.SlamOps = sb.ops
-		if c.SlamProfile != "" && c.SlamProfile != SlamProfileBase {
-			meta.SlamProfile = c.SlamProfile
-		}
-		meta.SlamErrors = sb.errors
-		meta.SlamRPS = sb.rps
-		meta.SlamSetupMS = sb.setupMS
-		meta.SlamReadP50MS = sb.readP50MS
-		meta.SlamReadP99MS = sb.readP99MS
-		meta.SlamDeltaP50MS = sb.deltaP50MS
-		meta.SlamDeltaP99MS = sb.deltaP99MS
-		meta.SlamP999MS = sb.p999MS
-		meta.SlamAllocPerOp = sb.allocPerOp
-		meta.SlamGCCount = sb.gcCount
-		meta.SlamMaxPauseMS = sb.maxPauseMS
 	}
 
 	if !c.Churn.None() {
@@ -327,6 +266,9 @@ func Exec(ctx context.Context, net *netmodel.Network, sim *vulnsim.SimilarityTab
 		}
 		meta.ChurnEnergyGapPct = cm.maxGapPct
 		meta.ChurnChangedFrac = cm.changedFrac
+		meta.ChurnDirtyNodes = cm.dirtyNodes
+		meta.ChurnIterations = cm.iterations
+		meta.ChurnAllocBytes = cm.allocBytes
 	}
 
 	return Outcome{

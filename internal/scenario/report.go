@@ -10,9 +10,13 @@ import (
 
 // SchemaVersion identifies the BENCH_<suite>.json layout.  Bump it on any
 // incompatible change to Report or Measurement; ReadFile rejects reports
-// written by a different version so the CI gate never diffs apples against
+// written by a different version so the gate never diffs apples against
 // oranges.
-const SchemaVersion = 1
+//
+// Version history: 1 initial layout; 2 dropped the serve_* fields, nested
+// the slam phase as one "slam" object (slam.RunResult) and added the churn
+// work counters.
+const SchemaVersion = 2
 
 // MatrixInfo is the serialisable summary of the matrix a report was produced
 // from, normalised (defaults applied) so two runs of the same suite always
@@ -25,7 +29,7 @@ type MatrixInfo struct {
 	Products         int      `json:"products_per_service"`
 	Solvers          []string `json:"solvers"`
 	Attacks          []string `json:"attacks"`
-	Churns           []string `json:"churns,omitempty"`
+	Churns           []string `json:"churns"`
 	MaxIterations    int      `json:"max_iterations"`
 	Seed             int64    `json:"seed"`
 	TimeoutMS        int64    `json:"timeout_ms,omitempty"`
@@ -33,33 +37,21 @@ type MatrixInfo struct {
 	SolverWorkers    int      `json:"solver_workers,omitempty"`
 	Parts            int      `json:"parts,omitempty"`
 	DisableWarmStart bool     `json:"disable_warm_start,omitempty"`
-	Serve            bool     `json:"serve,omitempty"`
 	GraphDirect      bool     `json:"graph_direct,omitempty"`
-	Slam             bool     `json:"slam,omitempty"`
-	SlamTenants      int      `json:"slam_tenants,omitempty"`
-	SlamWorkers      int      `json:"slam_workers,omitempty"`
-	SlamOps          int      `json:"slam_ops,omitempty"`
+	SlamProfiles     []string `json:"slam_profiles,omitempty"`
 	AttackRuns       int      `json:"attack_runs"`
 	Repeats          int      `json:"repeats"`
 }
 
-// Environment records where a report was produced, for interpreting
-// wall-clock numbers across machines.
+// Environment records where a report was produced, for interpreting its
+// wall-clock columns.  The gate never reads it: it compares only counters
+// that do not depend on the machine.
 type Environment struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// Comparable reports whether wall-clock numbers from the two environments
-// can be gated against each other: relative tolerance absorbs run-to-run
-// noise on one machine, not the systematic speed gap between different
-// machines.
-func (e Environment) Comparable(o Environment) bool {
-	return e.GOOS == o.GOOS && e.GOARCH == o.GOARCH &&
-		e.NumCPU == o.NumCPU && e.GOMAXPROCS == o.GOMAXPROCS
 }
 
 // Report is the machine-readable result of one suite run.
@@ -92,7 +84,7 @@ func NewReport(m Matrix) *Report {
 			Products:         m.ProductsPerService,
 			Solvers:          m.Solvers,
 			Attacks:          m.Attacks,
-			Churns:           churnInfo(m.Churns),
+			Churns:           m.Churns,
 			MaxIterations:    m.MaxIterations,
 			Seed:             m.Seed,
 			TimeoutMS:        int64(m.Timeout / time.Millisecond),
@@ -100,12 +92,8 @@ func NewReport(m Matrix) *Report {
 			SolverWorkers:    m.SolverWorkers,
 			Parts:            m.Parts,
 			DisableWarmStart: m.DisableWarmStart,
-			Serve:            m.ServeLatency,
 			GraphDirect:      m.GraphDirect,
-			Slam:             m.SlamLoad,
-			SlamTenants:      slamInfo(m.SlamLoad, m.SlamTenants),
-			SlamWorkers:      slamInfo(m.SlamLoad, m.SlamWorkers),
-			SlamOps:          slamInfo(m.SlamLoad, m.SlamOps),
+			SlamProfiles:     m.SlamProfiles,
 			AttackRuns:       m.AttackRuns,
 			Repeats:          m.Repeats,
 		},
@@ -119,25 +107,6 @@ func NewReport(m Matrix) *Report {
 	}
 }
 
-// slamInfo records a slam-phase dimension only when the phase is enabled, so
-// matrices without it keep metadata identical to pre-slam reports.
-func slamInfo(enabled bool, v int) int {
-	if !enabled {
-		return 0
-	}
-	return v
-}
-
-// churnInfo normalises the churn axis for report metadata: the default
-// {none} axis is recorded as absent so pre-churn reports and new churn-free
-// reports carry identical matrix metadata.
-func churnInfo(churns []string) []string {
-	if len(churns) == 1 && churns[0] == "none" {
-		return nil
-	}
-	return churns
-}
-
 // Validate checks the structural invariants of a report: matching schema
 // version, a suite name, and non-empty cells with unique IDs.
 func (r *Report) Validate() error {
@@ -145,7 +114,8 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("scenario: nil report")
 	}
 	if r.SchemaVersion != SchemaVersion {
-		return fmt.Errorf("scenario: report schema version %d, this build expects %d", r.SchemaVersion, SchemaVersion)
+		return fmt.Errorf("scenario: report schema version %d, this build reads and writes %d: regenerate the file with divbench -suite %s",
+			r.SchemaVersion, SchemaVersion, r.Suite)
 	}
 	if r.Suite == "" {
 		return fmt.Errorf("scenario: report has no suite name")
@@ -166,7 +136,8 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// Failed returns the cells that did not complete (timeout or error).
+// Failed returns the cells that ended in an error.  Timed-out cells are not
+// among them: a timeout marks the report, it does not fail the suite.
 func (r *Report) Failed() []Measurement {
 	var out []Measurement
 	for _, c := range r.Cells {

@@ -6,15 +6,15 @@
 // measurements: objective energy, pairwise similarity cost, wall-clock time,
 // allocations, an MTTC estimate and diversity metrics.  Churn cells
 // additionally replay a delta stream through the incremental
-// re-optimisation engine, and serve cells drive their network through an
-// in-process divd daemon over loopback HTTP so request latency is measured
-// like every other metric.  docs/BENCH_SCHEMA.md documents every recorded
-// field.
+// re-optimisation engine, and slam cells put an in-process divd daemon under
+// concurrent multi-tenant load (internal/slam).  docs/BENCH_SCHEMA.md
+// documents every recorded field.
 //
 // The package serves two callers with one execution path: the paper
 // experiments in internal/experiments build their figure/table sweeps on
 // Exec/Run, and cmd/divbench turns named suites into machine-readable
-// BENCH_<suite>.json reports that a CI gate can diff against a baseline.
+// BENCH_<suite>.json reports whose work counters Compare gates against a
+// checked-in baseline on any machine.
 package scenario
 
 import (
@@ -93,31 +93,14 @@ type Matrix struct {
 	// DisableWarmStart measures the solvers cold, without the
 	// greedy-colouring initial labeling.
 	DisableWarmStart bool
-	// ServeLatency routes every cell through an in-process divd serving
-	// round-trip (create → deltas → assignment reads → assess over loopback
-	// HTTP) after the regular phases, recording the serve_* latency fields.
-	ServeLatency bool
-	// SlamLoad routes every cell through a closed-loop multi-tenant load run
-	// (internal/slam) after the regular phases: SlamTenants sessions of the
-	// cell's network shape under SlamWorkers concurrent workers for SlamOps
-	// requests of the default mix, recording the slam_* concurrency-latency
-	// fields.  Where ServeLatency measures the solo request path, SlamLoad
-	// measures p99 under contention — the scheduler, writer-slot and
-	// admission behaviour no sequential benchmark can see.
-	SlamLoad bool
-	// SlamTenants, SlamWorkers and SlamOps size the load run.  Defaults
-	// 6 / 4 / 400.
-	SlamTenants int
-	SlamWorkers int
-	SlamOps     int
-	// SlamProfiles is the load-shape axis of the slam phase: every slam
-	// cell expands into one run per named profile.  "base" uses
-	// SlamTenants/SlamWorkers/SlamOps with the default mix and keeps the
-	// historical cell ID; "contended" oversubscribes the per-session writer
-	// slots (more workers than tenants, delta-heavy mix) and suffixes the
-	// cell ID with /slam-contended, so the gate exercises write-side
-	// queueing that the balanced base shape never produces.  Default
-	// {"base"}.
+	// SlamProfiles switches on the slam phase and is its load-shape axis:
+	// every cell expands into one closed-loop multi-tenant load run
+	// (internal/slam) per named profile, after the regular phases — p99 under
+	// contention, error accounting and allocation per request, the
+	// scheduler, writer-slot and admission behaviour no sequential benchmark
+	// can see.  The shapes are fixed (see slamShapes) so a slam cell is the
+	// same work on every machine and across suite edits.  Default: no slam
+	// phase.
 	SlamProfiles []string
 	// AttackRuns is the Monte-Carlo run count for the adversary-knowledge
 	// attack models.  Default 50 (the analytic models ignore it).
@@ -129,9 +112,9 @@ type Matrix struct {
 	// GraphDirect routes every cell through the streaming CSR-direct path:
 	// netgen.UniformGraph emits the diversification MRF without building a
 	// netmodel.Network and the solver runs on it directly, skipping the
-	// assignment decode and the attack/churn/serve phases.  This is the only
+	// assignment decode and the attack/churn/slam phases.  This is the only
 	// path that reaches 10^5–10^6 hosts; it is restricted to the uniform
-	// topology with no attack, churn or serve axes.
+	// topology with no attack, churn or slam axes.
 	GraphDirect bool
 }
 
@@ -175,56 +158,7 @@ func (m Matrix) withDefaults() Matrix {
 	if m.Repeats <= 0 {
 		m.Repeats = 1
 	}
-	if m.SlamLoad {
-		if m.SlamTenants <= 0 {
-			m.SlamTenants = 6
-		}
-		if m.SlamWorkers <= 0 {
-			m.SlamWorkers = 4
-		}
-		if m.SlamOps <= 0 {
-			m.SlamOps = 400
-		}
-		if len(m.SlamProfiles) == 0 {
-			m.SlamProfiles = []string{SlamProfileBase}
-		}
-	}
 	return m
-}
-
-// The named slam load shapes (Matrix.SlamProfiles).
-const (
-	SlamProfileBase      = "base"
-	SlamProfileContended = "contended"
-	SlamProfileReplica   = "replica"
-)
-
-// slamShape is one resolved slam load shape.
-type slamShape struct {
-	tenants, workers, ops int
-	mix                   string // empty = slam.DefaultMix
-	replica               bool   // reads served by an in-process follower
-}
-
-// slamShapeOf resolves a profile name against a defaulted matrix.  The
-// contended shape is fixed (not derived from the matrix sizes): four tenant
-// sessions under sixteen workers of a delta-heavy mix keep several requests
-// queued behind every session's writer slot for the whole run, and a fixed
-// shape keeps the cell comparable across suite edits.  The replica shape
-// boots a primary/follower replication pair and serves the read-heavy mix's
-// reads and metrics from the follower (internal/replic), so follower read
-// latency is gated alongside the single-node paths.
-func slamShapeOf(m Matrix, profile string) (slamShape, error) {
-	switch profile {
-	case "", SlamProfileBase:
-		return slamShape{tenants: m.SlamTenants, workers: m.SlamWorkers, ops: m.SlamOps}, nil
-	case SlamProfileContended:
-		return slamShape{tenants: 4, workers: 16, ops: 600, mix: "read=50,delta=45,metrics=5"}, nil
-	case SlamProfileReplica:
-		return slamShape{tenants: 4, workers: 8, ops: 400, mix: "read=70,delta=20,metrics=10", replica: true}, nil
-	}
-	return slamShape{}, fmt.Errorf("scenario: unknown slam profile %q (known: %s, %s, %s)",
-		profile, SlamProfileBase, SlamProfileContended, SlamProfileReplica)
 }
 
 // Cell is one fully-specified run of the matrix.
@@ -262,24 +196,10 @@ type Cell struct {
 	AttackRuns       int
 	Repeats          int
 	Timeout          time.Duration
-	// Serve runs the in-process divd serving round-trip after the regular
-	// phases (inherited from Matrix.ServeLatency).
-	Serve bool
-	// Slam runs the closed-loop multi-tenant load run after the regular
-	// phases; SlamTenants/SlamWorkers/SlamOps size it and SlamMix selects
-	// the operation mix (empty = default), all resolved from the matrix's
-	// slam profile.  SlamProfile records which named shape produced the
-	// cell ("base" shapes keep the historical cell ID; every other profile
-	// suffixes it).
-	Slam        bool
-	SlamTenants int
-	SlamWorkers int
-	SlamOps     int
+	// SlamProfile names the slam load shape run after the regular phases
+	// (empty: no slam phase).  The base profile keeps the plain cell ID;
+	// every other profile suffixes it with /slam-<profile>.
 	SlamProfile string
-	SlamMix     string
-	// SlamReplica routes the slam phase's reads through an in-process
-	// follower of a replication pair (the "replica" profile).
-	SlamReplica bool
 	// DisablePolish skips the local ICM refinement after solving; not a
 	// matrix axis, but callers building cells directly (the solver ablation,
 	// the convergence trace) use it to measure the raw decoding.
@@ -289,7 +209,7 @@ type Cell struct {
 	SolverWorkers int
 	// GraphDirect runs the cell on a streamed MRF (netgen.UniformGraph)
 	// without a netmodel.Network: no assignment decode, no attack, churn or
-	// serve phase (inherited from Matrix.GraphDirect).
+	// slam phase (inherited from Matrix.GraphDirect).
 	GraphDirect bool
 }
 
@@ -370,10 +290,7 @@ func Expand(m Matrix) ([]Cell, error) {
 				return nil, fmt.Errorf("scenario: graph-direct matrices cannot replay churn (got %q)", c)
 			}
 		}
-		if m.ServeLatency {
-			return nil, fmt.Errorf("scenario: graph-direct matrices cannot run the serve phase")
-		}
-		if m.SlamLoad {
+		if len(m.SlamProfiles) > 0 {
 			return nil, fmt.Errorf("scenario: graph-direct matrices cannot run the slam phase")
 		}
 		if m.Parts > 1 {
@@ -381,17 +298,14 @@ func Expand(m Matrix) ([]Cell, error) {
 		}
 	}
 
-	profiles := m.SlamProfiles
-	if len(profiles) == 0 {
-		profiles = []string{SlamProfileBase}
-	}
-	shapes := make([]slamShape, len(profiles))
-	for i, p := range profiles {
-		sh, err := slamShapeOf(m, p)
-		if err != nil {
+	for _, p := range m.SlamProfiles {
+		if _, err := slamShapeOf(p); err != nil {
 			return nil, err
 		}
-		shapes[i] = sh
+	}
+	profiles := m.SlamProfiles
+	if len(profiles) == 0 {
+		profiles = []string{""} // no slam phase
 	}
 
 	var cells []Cell
@@ -402,9 +316,9 @@ func Expand(m Matrix) ([]Cell, error) {
 					for _, solver := range m.Solvers {
 						for _, attack := range attacks {
 							for _, churn := range churns {
-								for pi, profile := range profiles {
+								for _, profile := range profiles {
 									id := cellID(topo, hosts, degree, services, solver, attack.String(), churn.String())
-									if profile != SlamProfileBase {
+									if profile != "" && profile != SlamProfileBase {
 										id += "/slam-" + profile
 									}
 									instance := fmt.Sprintf("%s/h%d/d%d/s%d", topo, hosts, degree, services)
@@ -424,14 +338,7 @@ func Expand(m Matrix) ([]Cell, error) {
 										MaxIterations:      m.MaxIterations,
 										Parts:              m.Parts,
 										DisableWarmStart:   m.DisableWarmStart,
-										Serve:              m.ServeLatency,
-										Slam:               m.SlamLoad,
-										SlamTenants:        shapes[pi].tenants,
-										SlamWorkers:        shapes[pi].workers,
-										SlamOps:            shapes[pi].ops,
 										SlamProfile:        profile,
-										SlamMix:            shapes[pi].mix,
-										SlamReplica:        shapes[pi].replica,
 										AttackRuns:         m.AttackRuns,
 										Repeats:            m.Repeats,
 										Timeout:            m.Timeout,

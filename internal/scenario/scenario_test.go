@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -263,14 +264,20 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFileRejectsWrongSchema: a report written by another schema version
+// — the pre-PR-23 version 1 files in particular — is refused with an error
+// that says how to replace it.
 func TestReadFileRejectsWrongSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	data := `{"schema_version": 99, "suite": "tiny", "cells": [{"id": "x"}]}`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Error("report with a future schema version should be rejected")
+	for _, version := range []string{"1", "99"} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		data := `{"schema_version": ` + version + `, "suite": "tiny", "cells": [{"id": "x"}]}`
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadFile(path)
+		if err == nil || !strings.Contains(err.Error(), "regenerate the file with divbench -suite tiny") {
+			t.Errorf("schema version %s: want a rejection that says to regenerate, got %v", version, err)
+		}
 	}
 }
 

@@ -7,75 +7,81 @@ import (
 	"netdiversity/internal/slam"
 )
 
-// slamBench holds the concurrency-latency measurements of one slam cell.
-type slamBench struct {
-	tenants    int
-	workers    int
-	ops        int64
-	errors     int64
-	rps        float64
-	setupMS    float64
-	readP50MS  float64
-	readP99MS  float64
-	deltaP50MS float64
-	deltaP99MS float64
-	p999MS     float64
-	// Allocation/GC pressure of the measured phase (the in-process server
-	// shares the heap with the load workers; see slam.MemReport).
-	allocPerOp float64
-	gcCount    uint32
-	maxPauseMS float64
+// The named slam load shapes (Matrix.SlamProfiles).
+const (
+	SlamProfileBase      = "base"
+	SlamProfileContended = "contended"
+	SlamProfileReplica   = "replica"
+)
+
+// slamShape is one fixed slam load shape.
+type slamShape struct {
+	tenants, workers, ops int
+	mix                   string // empty = slam.DefaultMix
+	replica               bool   // reads served by an in-process follower
 }
 
-// runSlamBench drives a closed-loop multi-tenant load run against an
-// in-process divd instance sized by the cell: SlamTenants sessions of the
-// cell's network shape under SlamWorkers workers for a fixed SlamOps request
-// budget of the default mix.  The fixed op budget (not a duration) keeps the
-// run length deterministic, so CI cells take the same work everywhere and
-// only the latencies vary with the machine.
-func runSlamBench(ctx context.Context, c Cell) (slamBench, error) {
-	cfg := slam.Config{
+// slamShapes holds the fixed shape of every profile.  base is the balanced
+// shape: six tenant sessions under four workers of the default read-heavy
+// mix.  contended oversubscribes the per-session writer slots — four
+// sessions under sixteen workers of a delta-heavy mix keep several requests
+// queued behind every slot for the whole run.  replica boots a
+// primary/follower replication pair (internal/replic) and serves the
+// read-heavy mix's reads and metrics from the follower.  The op budgets are
+// sized so that five runs of a cell agree on allocated bytes per request
+// well inside the gate's bound (see slamAllocBound).
+var slamShapes = map[string]slamShape{
+	SlamProfileBase:      {tenants: 6, workers: 4, ops: 4000},
+	SlamProfileContended: {tenants: 4, workers: 16, ops: 6000, mix: "read=50,delta=45,metrics=5"},
+	SlamProfileReplica:   {tenants: 4, workers: 8, ops: 4000, mix: "read=70,delta=20,metrics=10", replica: true},
+}
+
+// slamShapeOf resolves a profile name.
+func slamShapeOf(profile string) (slamShape, error) {
+	shape, ok := slamShapes[profile]
+	if !ok {
+		return slamShape{}, fmt.Errorf("scenario: unknown slam profile %q (known: %s, %s, %s)",
+			profile, SlamProfileBase, SlamProfileContended, SlamProfileReplica)
+	}
+	return shape, nil
+}
+
+// runSlamBench drives the cell's slam profile: a closed-loop multi-tenant
+// load run against an in-process divd instance, tenants shaped like the
+// cell's network.  The fixed op budget (not a duration) makes every run the
+// same work, so the counters gate everywhere and only the latencies vary
+// with the machine.  The result is the RunResult divslam reports, minus the
+// histogram buckets (quantiles are already rendered; the buckets would
+// dominate the BENCH file).
+func runSlamBench(ctx context.Context, c Cell) (*slam.RunResult, error) {
+	shape, err := slamShapeOf(c.SlamProfile)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := slam.Run(ctx, slam.Config{
 		Mode:           "closed",
-		Tenants:        c.SlamTenants,
+		Tenants:        shape.tenants,
 		Hosts:          c.Hosts,
 		Degree:         c.Degree,
 		Services:       c.Services,
 		Solver:         c.Solver,
 		Seed:           c.Seed,
-		Workers:        c.SlamWorkers,
-		Ops:            c.SlamOps,
-		Mix:            c.SlamMix,
+		Workers:        shape.workers,
+		Ops:            shape.ops,
+		Mix:            shape.mix,
 		MaxIterations:  c.MaxIterations,
 		AssessRuns:     10,
 		RequestTimeout: c.Timeout,
-		ReplicaReads:   c.SlamReplica,
-	}
-	rep, err := slam.Run(ctx, cfg, nil)
+		ReplicaReads:   shape.replica,
+	}, nil)
 	if err != nil {
-		return slamBench{}, fmt.Errorf("slam bench: %w", err)
+		return nil, fmt.Errorf("slam bench: %w", err)
 	}
 	res := rep.Runs[0]
-	out := slamBench{
-		tenants: res.Config.Tenants,
-		workers: res.Config.Workers,
-		ops:     res.Total.Count,
-		errors:  res.Total.Errors,
-		rps:     res.AchievedRPS,
-		setupMS: res.SetupMS,
-		p999MS:  res.Total.P999MS,
+	res.Total.Buckets = nil
+	for op, st := range res.Ops {
+		st.Buckets = nil
+		res.Ops[op] = st
 	}
-	if st, ok := res.Ops[slam.OpRead]; ok {
-		out.readP50MS = st.P50MS
-		out.readP99MS = st.P99MS
-	}
-	if st, ok := res.Ops[slam.OpDelta]; ok {
-		out.deltaP50MS = st.P50MS
-		out.deltaP99MS = st.P99MS
-	}
-	if res.Mem != nil {
-		out.allocPerOp = res.Mem.AllocBytesPerOp
-		out.gcCount = res.Mem.GCCount
-		out.maxPauseMS = res.Mem.MaxPauseMS
-	}
-	return out, nil
+	return &res, nil
 }

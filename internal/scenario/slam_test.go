@@ -4,12 +4,13 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"netdiversity/internal/slam"
 )
 
-// TestSlamCell runs one slam-load cell end to end: the closed-loop
-// multi-tenant run against an in-process divd must populate every slam_*
-// field of the measurement with a clean error count.
-func TestSlamCell(t *testing.T) {
+// slamCell expands a one-cell slam matrix over a tiny network.
+func slamCell(t *testing.T, profile string, seed int64) Cell {
+	t.Helper()
 	cells, err := Expand(Matrix{
 		Name:          "slam-test",
 		Hosts:         []int{12},
@@ -17,145 +18,23 @@ func TestSlamCell(t *testing.T) {
 		Services:      []int{2},
 		Solvers:       []string{"icm"},
 		Attacks:       []string{"none"},
-		SlamLoad:      true,
-		SlamTenants:   2,
-		SlamWorkers:   2,
-		SlamOps:       40,
+		SlamProfiles:  []string{profile},
 		MaxIterations: 10,
-		Seed:          3,
+		Seed:          seed,
 		Timeout:       time.Minute,
-		AttackRuns:    20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || !cells[0].Slam {
+	if len(cells) != 1 || cells[0].SlamProfile != profile {
 		t.Fatalf("expansion: %+v", cells)
 	}
-	net, sim, err := BuildNetwork(cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Exec(context.Background(), net, sim, cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.Measurement
-	if m.SlamTenants != 2 || m.SlamWorkers != 2 || m.SlamOps != 40 {
-		t.Fatalf("slam shape not recorded: %+v", m)
-	}
-	if m.SlamErrors != 0 {
-		t.Fatalf("slam run had %d errors", m.SlamErrors)
-	}
-	if m.SlamRPS <= 0 || m.SlamSetupMS <= 0 {
-		t.Fatalf("slam throughput fields not populated: %+v", m)
-	}
-	if m.SlamReadP99MS <= 0 || m.SlamDeltaP99MS <= 0 || m.SlamP999MS <= 0 {
-		t.Fatalf("slam latency fields not populated: %+v", m)
-	}
-	if m.SlamReadP50MS > m.SlamReadP99MS || m.SlamDeltaP50MS > m.SlamDeltaP99MS {
-		t.Fatalf("slam quantiles out of order: %+v", m)
-	}
+	return cells[0]
 }
 
-// TestSlamMatrixDefaults pins the slam defaults and metadata so slam
-// baselines are never diffed against non-slam runs of the same axes.
-func TestSlamMatrixDefaults(t *testing.T) {
-	m := Matrix{Name: "slam", SlamLoad: true}.withDefaults()
-	if m.SlamTenants != 6 || m.SlamWorkers != 4 || m.SlamOps != 400 {
-		t.Fatalf("slam defaults: %+v", m)
-	}
-	rep := NewReport(Matrix{Name: "slam", SlamLoad: true})
-	if !rep.Matrix.Slam || rep.Matrix.SlamTenants != 6 || rep.Matrix.SlamWorkers != 4 || rep.Matrix.SlamOps != 400 {
-		t.Fatalf("slam metadata: %+v", rep.Matrix)
-	}
-	rep = NewReport(Matrix{Name: "quick"})
-	if rep.Matrix.Slam || rep.Matrix.SlamTenants != 0 {
-		t.Fatalf("slam metadata set on a non-slam matrix: %+v", rep.Matrix)
-	}
-}
-
-// TestSlamProfileExpansion pins the profile axis: the base profile keeps
-// the historical cell ID and the matrix's shape, the contended profile gets
-// its own suffixed ID (hence its own derived seed), the fixed oversubscribed
-// shape and the delta-heavy mix.
-func TestSlamProfileExpansion(t *testing.T) {
-	cells, err := Expand(Matrix{
-		Name:         "slam",
-		Hosts:        []int{50},
-		Solvers:      []string{"trws"},
-		Attacks:      []string{"none"},
-		SlamLoad:     true,
-		SlamProfiles: []string{SlamProfileBase, SlamProfileContended},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(cells))
-	}
-	base, cont := cells[0], cells[1]
-	if base.ID != "uniform/h50/d8/s3/trws/none" {
-		t.Fatalf("base profile changed the historical cell ID: %q", base.ID)
-	}
-	if base.SlamTenants != 6 || base.SlamWorkers != 4 || base.SlamOps != 400 || base.SlamMix != "" {
-		t.Fatalf("base shape: %+v", base)
-	}
-	if cont.ID != "uniform/h50/d8/s3/trws/none/slam-contended" {
-		t.Fatalf("contended cell ID: %q", cont.ID)
-	}
-	if cont.SlamWorkers <= cont.SlamTenants {
-		t.Fatalf("contended shape must oversubscribe the writer slots: %d workers, %d tenants",
-			cont.SlamWorkers, cont.SlamTenants)
-	}
-	if cont.SlamMix == "" {
-		t.Fatal("contended profile must set a delta-heavy mix")
-	}
-	if cont.Seed == base.Seed {
-		t.Fatal("profiles must derive distinct cell seeds")
-	}
-	if _, err := Expand(Matrix{
-		Name: "slam", SlamLoad: true, SlamProfiles: []string{"bogus"},
-	}); err == nil {
-		t.Fatal("unknown slam profile accepted")
-	}
-}
-
-// TestSlamReplicaProfile pins the replica profile's expansion and runs its
-// cell end to end: a primary/follower pair serves the load with the follower
-// answering reads, and the measurement comes back with a clean error count —
-// the replica-read path is gated by the same SLO machinery as the single-node
-// cells.
-func TestSlamReplicaProfile(t *testing.T) {
-	cells, err := Expand(Matrix{
-		Name:          "slam",
-		Hosts:         []int{12},
-		Degrees:       []int{4},
-		Services:      []int{2},
-		Solvers:       []string{"icm"},
-		Attacks:       []string{"none"},
-		SlamLoad:      true,
-		SlamProfiles:  []string{SlamProfileReplica},
-		MaxIterations: 10,
-		Seed:          5,
-		Timeout:       time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 {
-		t.Fatalf("expected 1 cell, got %d", len(cells))
-	}
-	c := cells[0]
-	if c.ID != "uniform/h12/d4/s2/icm/none/slam-replica" {
-		t.Fatalf("replica cell ID: %q", c.ID)
-	}
-	if !c.SlamReplica || c.SlamMix == "" {
-		t.Fatalf("replica shape not resolved: %+v", c)
-	}
-	// Shrink the fixed shape for the test run; the profile's production
-	// shape is pinned above, the execution path is what this covers.
-	c.SlamTenants, c.SlamWorkers, c.SlamOps = 2, 2, 40
+// execSlam runs a slam cell end to end and returns its load-phase result.
+func execSlam(t *testing.T, c Cell) *slam.RunResult {
+	t.Helper()
 	net, sim, err := BuildNetwork(c)
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +43,125 @@ func TestSlamReplicaProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := out.Measurement
-	if m.SlamProfile != SlamProfileReplica {
-		t.Fatalf("profile not recorded: %+v", m)
+	if out.Slam == nil {
+		t.Fatalf("slam phase not recorded: %+v", out.Measurement)
 	}
-	if m.SlamErrors != 0 {
-		t.Fatalf("replica slam run had %d errors", m.SlamErrors)
+	return out.Slam
+}
+
+// TestSlamCell runs the base slam cell end to end: the closed-loop
+// multi-tenant run against an in-process divd must come back as the
+// RunResult divslam reports — the profile's fixed shape, a clean error
+// count, ordered quantiles, the heap sample — with the histogram buckets
+// stripped.
+func TestSlamCell(t *testing.T) {
+	res := execSlam(t, slamCell(t, SlamProfileBase, 3))
+	shape := slamShapes[SlamProfileBase]
+	if res.Config.Tenants != shape.tenants || res.Config.Workers != shape.workers || res.Total.Count != int64(shape.ops) {
+		t.Fatalf("slam shape not recorded: %+v", res)
 	}
-	if m.SlamReadP99MS <= 0 || m.SlamDeltaP99MS <= 0 {
-		t.Fatalf("replica latency fields not populated: %+v", m)
+	if res.Total.Errors != 0 {
+		t.Fatalf("slam run had %d errors", res.Total.Errors)
+	}
+	if res.AchievedRPS <= 0 || res.SetupMS <= 0 {
+		t.Fatalf("slam throughput fields not populated: %+v", res)
+	}
+	read, delta := res.Ops[slam.OpRead], res.Ops[slam.OpDelta]
+	if read.P99MS <= 0 || delta.P99MS <= 0 || res.Total.P999MS <= 0 {
+		t.Fatalf("slam latency fields not populated: %+v", res)
+	}
+	if read.P50MS > read.P99MS || delta.P50MS > delta.P99MS {
+		t.Fatalf("slam quantiles out of order: %+v", res)
+	}
+	if res.Mem == nil || res.Mem.AllocBytesPerOp <= 0 {
+		t.Fatalf("slam heap sample missing: %+v", res.Mem)
+	}
+	if res.Total.Buckets != nil || read.Buckets != nil {
+		t.Fatal("histogram buckets must be stripped from a BENCH cell")
+	}
+}
+
+// TestSlamMatrixDefaults pins that SlamProfiles alone switches the slam phase
+// on, and that report metadata records it, so slam baselines are never
+// diffed against non-slam runs of the same axes.
+func TestSlamMatrixDefaults(t *testing.T) {
+	cells, err := Expand(Matrix{Name: "quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 1 || cells[0].SlamProfile != "" {
+		t.Fatalf("a matrix without SlamProfiles must expand to slam-free cells: %+v", cells)
+	}
+	if rep := NewReport(Matrix{Name: "quick"}); rep.Matrix.SlamProfiles != nil {
+		t.Fatalf("slam metadata set on a non-slam matrix: %+v", rep.Matrix)
+	}
+	rep := NewReport(Matrix{Name: "slam", SlamProfiles: []string{SlamProfileBase}})
+	if len(rep.Matrix.SlamProfiles) != 1 || rep.Matrix.SlamProfiles[0] != SlamProfileBase {
+		t.Fatalf("slam metadata: %+v", rep.Matrix)
+	}
+}
+
+// TestSlamProfileExpansion pins the profile axis: the base profile keeps
+// the plain cell ID, every other profile gets its own suffixed ID (hence its
+// own derived seed), and the contended shape oversubscribes the writer slots
+// with a delta-heavy mix.
+func TestSlamProfileExpansion(t *testing.T) {
+	cells, err := Expand(Matrix{
+		Name:         "slam",
+		Hosts:        []int{50},
+		Solvers:      []string{"trws"},
+		Attacks:      []string{"none"},
+		SlamProfiles: []string{SlamProfileBase, SlamProfileContended, SlamProfileReplica},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("expected 3 cells, got %d", len(cells))
+	}
+	for i, want := range []string{
+		"uniform/h50/d8/s3/trws/none",
+		"uniform/h50/d8/s3/trws/none/slam-contended",
+		"uniform/h50/d8/s3/trws/none/slam-replica",
+	} {
+		if cells[i].ID != want {
+			t.Errorf("cell %d ID %q, want %q", i, cells[i].ID, want)
+		}
+	}
+	if cells[0].Seed == cells[1].Seed || cells[1].Seed == cells[2].Seed {
+		t.Fatal("profiles must derive distinct cell seeds")
+	}
+	if base := slamShapes[SlamProfileBase]; base.mix != "" || base.replica {
+		t.Fatalf("base shape: %+v", base)
+	}
+	if cont := slamShapes[SlamProfileContended]; cont.workers <= cont.tenants || cont.mix == "" {
+		t.Fatalf("contended shape must oversubscribe the writer slots with its own mix: %+v", cont)
+	}
+	if repl := slamShapes[SlamProfileReplica]; !repl.replica || repl.mix == "" {
+		t.Fatalf("replica shape: %+v", repl)
+	}
+	if _, err := Expand(Matrix{Name: "slam", SlamProfiles: []string{"bogus"}}); err == nil {
+		t.Fatal("unknown slam profile accepted")
+	}
+}
+
+// TestSlamReplicaProfile runs the replica cell end to end: a
+// primary/follower pair serves the load with the follower answering reads,
+// and the measurement comes back with a clean error count.
+func TestSlamReplicaProfile(t *testing.T) {
+	c := slamCell(t, SlamProfileReplica, 5)
+	if c.ID != "uniform/h12/d4/s2/icm/none/slam-replica" {
+		t.Fatalf("replica cell ID: %q", c.ID)
+	}
+	res := execSlam(t, c)
+	if !res.Config.ReplicaReads {
+		t.Fatalf("replica reads not configured: %+v", res.Config)
+	}
+	if res.Total.Errors != 0 {
+		t.Fatalf("replica slam run had %d errors", res.Total.Errors)
+	}
+	if res.Ops[slam.OpRead].P99MS <= 0 || res.Ops[slam.OpDelta].P99MS <= 0 {
+		t.Fatalf("replica latency fields not populated: %+v", res)
 	}
 }
 
@@ -180,58 +169,14 @@ func TestSlamReplicaProfile(t *testing.T) {
 // graph-direct matrices: those cells have no network model to serve.
 func TestSlamGraphDirectRejected(t *testing.T) {
 	_, err := Expand(Matrix{
-		Name:        "bad",
-		Hosts:       []int{100},
-		Solvers:     []string{"trws"},
-		Attacks:     []string{"none"},
-		GraphDirect: true,
-		SlamLoad:    true,
+		Name:         "bad",
+		Hosts:        []int{100},
+		Solvers:      []string{"trws"},
+		Attacks:      []string{"none"},
+		GraphDirect:  true,
+		SlamProfiles: []string{SlamProfileBase},
 	})
 	if err == nil {
 		t.Fatal("graph-direct + slam accepted")
-	}
-}
-
-// TestCompareGatesSlamMetrics verifies slam cells regress on their own
-// load-phase metrics — p99 under contention or a dirty error count — even
-// when the library-level solve wall-clock is unchanged.
-func TestCompareGatesSlamMetrics(t *testing.T) {
-	base := &Report{SchemaVersion: SchemaVersion, Suite: "slam", Cells: []Measurement{
-		{ID: "s1", WallMS: 50, SlamOps: 400, SlamReadP99MS: 20, SlamDeltaP99MS: 60},
-		{ID: "s2", WallMS: 50, SlamOps: 400, SlamReadP99MS: 20, SlamDeltaP99MS: 60},
-		{ID: "s3", WallMS: 50, SlamOps: 400, SlamReadP99MS: 20, SlamDeltaP99MS: 60},
-		{ID: "s4", WallMS: 50, SlamOps: 400, SlamReadP99MS: 20, SlamDeltaP99MS: 60},
-	}}
-	cur := &Report{SchemaVersion: SchemaVersion, Suite: "slam", Cells: []Measurement{
-		// s1: read p99 tripled under load, cold solve unchanged.
-		{ID: "s1", WallMS: 50, SlamOps: 400, SlamReadP99MS: 60, SlamDeltaP99MS: 60},
-		// s2: delta p99 doubled.
-		{ID: "s2", WallMS: 50, SlamOps: 400, SlamReadP99MS: 20, SlamDeltaP99MS: 120},
-		// s3: errors appeared where the baseline was clean.
-		{ID: "s3", WallMS: 50, SlamOps: 400, SlamErrors: 3, SlamReadP99MS: 20, SlamDeltaP99MS: 60},
-		// s4: within tolerance on everything.
-		{ID: "s4", WallMS: 50, SlamOps: 400, SlamReadP99MS: 21, SlamDeltaP99MS: 62},
-	}}
-	d := Compare(base, cur, DiffOptions{})
-	verdicts := map[string]Verdict{}
-	notes := map[string]string{}
-	for _, c := range d.Cells {
-		verdicts[c.ID] = c.Verdict
-		notes[c.ID] = c.SlamNote
-	}
-	if verdicts["s1"] != VerdictRegression || notes["s1"] == "" {
-		t.Fatalf("read-p99 collapse not gated: %v %q", verdicts["s1"], notes["s1"])
-	}
-	if verdicts["s2"] != VerdictRegression || notes["s2"] == "" {
-		t.Fatalf("delta-p99 collapse not gated: %v %q", verdicts["s2"], notes["s2"])
-	}
-	if verdicts["s3"] != VerdictRegression || notes["s3"] == "" {
-		t.Fatalf("error appearance not gated: %v %q", verdicts["s3"], notes["s3"])
-	}
-	if verdicts["s4"] != VerdictOK {
-		t.Fatalf("in-tolerance slam cell flagged: %v (%q)", verdicts["s4"], notes["s4"])
-	}
-	if !d.HasRegressions() {
-		t.Fatal("diff reports no regressions")
 	}
 }

@@ -9,7 +9,8 @@ import (
 // Suite returns the named benchmark matrix.  Suites are functions of their
 // name only, so a BENCH_<suite>.json baseline produced by one build is
 // comparable with the same suite run by another build (the diff matches
-// cells by ID and tolerates suite edits as new/missing cells).
+// cells by ID; a suite edit shows up as new/missing/stale cells, which fail
+// the gate until the baseline is regenerated).
 func Suite(name string) (Matrix, error) {
 	f, ok := suites()[name]
 	if !ok {
@@ -34,9 +35,9 @@ func suites() map[string]func() Matrix {
 		// quick is the CI gate: every solver on two topology families at two
 		// sizes under the reconnaissance attack estimate, plus the
 		// full-knowledge Monte-Carlo attacker so the compiled attack engine's
-		// throughput and per-run allocation are gated per PR.  It must finish
-		// in well under two minutes on a 1-core runner; Repeats=3 takes the
-		// minimum wall-clock per cell to damp scheduler noise.
+		// per-run allocation is gated per PR.  It must finish in well under
+		// two minutes on a 1-core runner; Repeats=3 takes the minimum
+		// wall-clock per cell to damp scheduler noise in the reported column.
 		"quick": func() Matrix {
 			return Matrix{
 				Name:          "quick",
@@ -93,42 +94,14 @@ func suites() map[string]func() Matrix {
 				Repeats:       1,
 			}
 		},
-		// serve measures the serving plane (internal/serve + cmd/divd): each
-		// cell drives its network through an in-process daemon over loopback
-		// HTTP — create (spec decode + cold solve), the mixed10 delta stream
-		// (incremental re-optimisations), 200 assignment reads (lock-free
-		// snapshot path) and one Monte-Carlo assessment — so request latency
-		// is gated like every other perf metric.
-		"serve": func() Matrix {
-			return Matrix{
-				Name:          "serve",
-				Topologies:    []string{TopoUniform},
-				Hosts:         []int{200, 1000},
-				Degrees:       []int{8},
-				Services:      []int{3},
-				Solvers:       []string{"trws"},
-				Attacks:       []string{"none"},
-				ServeLatency:  true,
-				MaxIterations: 40,
-				Seed:          42,
-				Timeout:       2 * time.Minute,
-				AttackRuns:    100,
-				Repeats:       1,
-			}
-		},
 		// slam measures the serving plane under concurrent multi-tenant load
-		// (internal/slam, closed loop) in three shapes: the base cell — six
-		// tenant sessions of a 50-host network served by four workers for a
-		// fixed 400-request budget of the default mix — the contended cell —
-		// four sessions under sixteen workers of a delta-heavy mix, keeping
-		// several writers queued behind every session's writer slot — and the
-		// replica cell — the same load against a primary/follower replication
-		// pair (internal/replic) with reads and metrics served from the
-		// follower, gating the replica-read path's latency and error rate.
-		// Together they gate the p99 of the snapshot-read and delta paths
-		// under contention — the serve suite's single-client latencies
-		// cannot see lock, scheduler or write-queueing regressions that only
-		// appear when sessions compete.
+		// (internal/slam, closed loop, fixed op budgets) in three shapes —
+		// see slamShapes: the balanced base cell, the contended cell that
+		// keeps writers queued behind every session's writer slot, and the
+		// replica cell that serves reads from a follower.  The gate holds
+		// each to a clean error count and its allocation per request; the
+		// p99s under contention are reported beside them.  Request latency
+		// with a noise protocol is benchmark/run.sh's job.
 		"slam": func() Matrix {
 			return Matrix{
 				Name:          "slam",
@@ -138,7 +111,6 @@ func suites() map[string]func() Matrix {
 				Services:      []int{3},
 				Solvers:       []string{"trws"},
 				Attacks:       []string{"none"},
-				SlamLoad:      true,
 				SlamProfiles:  []string{SlamProfileBase, SlamProfileContended, SlamProfileReplica},
 				MaxIterations: 40,
 				Seed:          42,
@@ -188,8 +160,9 @@ func suites() map[string]func() Matrix {
 				Repeats:       1,
 			}
 		},
-		// pipeline measures the partitioned parallel pipeline against the
-		// sequential path on the largest size.
+		// pipeline measures the partitioned parallel pipeline (eight blocks)
+		// on the largest size of two topology families.  It expands no
+		// sequential twin cells.
 		"pipeline": func() Matrix {
 			return Matrix{
 				Name:          "pipeline",
