@@ -11,7 +11,7 @@ import (
 )
 
 // benchConfig is the quick experiment profile used by every per-table
-// benchmark; run cmd/divtables -full for the paper-sized sweeps.
+// benchmark; run `div tables -full` for the paper-sized sweeps.
 func benchConfig() experiments.Config {
 	return experiments.Config{Seed: 42, Workers: 1}
 }

@@ -344,7 +344,7 @@ func TestSolvers(t *testing.T) {
 			t.Errorf("solver %s produced an invalid assignment: %v", solver, err)
 		}
 	}
-	opt, _ := NewOptimizer(net, sim, Options{Solver: Solver(99)})
+	opt, _ := NewOptimizer(net, sim, Options{Solver: Solver("nope")})
 	if _, err := opt.Optimize(context.Background()); err == nil {
 		t.Error("unknown solver should be rejected")
 	}
@@ -361,7 +361,7 @@ func TestParseSolver(t *testing.T) {
 		{"bp", SolverBP, false},
 		{"icm", SolverICM, false},
 		{"anneal", SolverAnneal, false},
-		{"bogus", 0, true},
+		{"bogus", "", true},
 	}
 	for _, tt := range tests {
 		got, err := ParseSolver(tt.in)
@@ -375,8 +375,8 @@ func TestParseSolver(t *testing.T) {
 			t.Errorf("ParseSolver(%q) = %v, %v", tt.in, got, err)
 		}
 	}
-	if SolverTRWS.String() != "trws" || Solver(99).String() == "" {
-		t.Error("Solver.String misbehaves")
+	if string(SolverTRWS) != "trws" {
+		t.Errorf("SolverTRWS = %q, want the registry name", SolverTRWS)
 	}
 }
 

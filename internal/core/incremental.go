@@ -444,7 +444,7 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 	// needs far fewer sweeps than a cold solve and a shorter plateau before
 	// declaring convergence.  It runs on the kernel the problem retains.
 	if p.kernel == nil {
-		k, err := solve.New(o.opts.Solver.String())
+		k, err := solve.New(string(o.opts.Solver))
 		if err != nil {
 			return ReoptimizeResult{}, fmt.Errorf("core: %w", err)
 		}
@@ -535,8 +535,9 @@ func (o *Optimizer) absorb(p *problem, a *netmodel.Assignment, energy float64, l
 }
 
 // LastAssignment returns the most recent solution (nil before the first
-// solve).  Watch-mode callers use it to keep serving the previous assignment
-// when a churn step fails or is cancelled.  It is sealed: Clone it to edit.
+// solve).  Callers use it to diff a churn step against the previous
+// assignment, or to keep serving that one when the step fails or is
+// cancelled.  It is sealed: Clone it to edit.
 func (o *Optimizer) LastAssignment() *netmodel.Assignment { return o.lastAssignment }
 
 // Snapshot returns the optimiser's current solution and its energy; ok is

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"netdiversity/internal/baseline"
@@ -19,66 +18,35 @@ import (
 	_ "netdiversity/internal/trws"
 )
 
-// Solver selects the minimisation algorithm.  The four paper solvers have
-// fixed selectors below; any further kernel registered with the solve
-// registry is assigned a selector dynamically by ParseSolver, so extending
-// the system with a new solver touches only the kernel package.
-type Solver int
+// Solver is the name of a kernel registered with the solve registry, so a
+// new kernel package is selectable without touching core.  The empty name
+// selects SolverTRWS.
+type Solver string
 
+// The kernels linked into every build.
 const (
 	// SolverTRWS is the sequential tree-reweighted message passing solver
 	// used by the paper (default).
-	SolverTRWS Solver = iota + 1
+	SolverTRWS Solver = "trws"
 	// SolverBP is loopy min-sum belief propagation.
-	SolverBP
+	SolverBP Solver = "bp"
 	// SolverICM is iterated conditional modes local search.
-	SolverICM
+	SolverICM Solver = "icm"
 	// SolverAnneal is ICM with a simulated-annealing acceptance rule.
-	SolverAnneal
+	SolverAnneal Solver = "anneal"
 )
 
-var (
-	solverMu     sync.Mutex
-	solverByName = map[string]Solver{
-		"trws": SolverTRWS, "bp": SolverBP, "icm": SolverICM, "anneal": SolverAnneal,
-	}
-	nameBySolver = map[Solver]string{
-		SolverTRWS: "trws", SolverBP: "bp", SolverICM: "icm", SolverAnneal: "anneal",
-	}
-	nextSolver = SolverAnneal + 1
-)
-
-// String implements fmt.Stringer.
-func (s Solver) String() string {
-	solverMu.Lock()
-	defer solverMu.Unlock()
-	if name, ok := nameBySolver[s]; ok {
-		return name
-	}
-	return fmt.Sprintf("solver(%d)", int(s))
-}
-
-// ParseSolver converts a registered solver name to a Solver.  Names are
-// validated against the solve registry, so only solvers whose kernels are
-// actually linked in parse successfully; a registered name beyond the four
-// built-in selectors is assigned a fresh selector on first parse.
+// ParseSolver validates a solver name against the solve registry, so only
+// solvers whose kernels are actually linked in parse successfully.  The
+// empty name selects SolverTRWS.
 func ParseSolver(name string) (Solver, error) {
 	if name == "" {
-		name = "trws"
+		return SolverTRWS, nil
 	}
 	if !solve.Registered(name) {
-		return 0, fmt.Errorf("core: unknown solver %q (registered: %v)", name, solve.Names())
+		return "", fmt.Errorf("core: unknown solver %q (registered: %v)", name, solve.Names())
 	}
-	solverMu.Lock()
-	defer solverMu.Unlock()
-	if s, ok := solverByName[name]; ok {
-		return s, nil
-	}
-	s := nextSolver
-	nextSolver++
-	solverByName[name] = s
-	nameBySolver[s] = name
-	return s, nil
+	return Solver(name), nil
 }
 
 // SolverNames lists the solver names registered with the unified solve
@@ -119,7 +87,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Solver == 0 {
+	if o.Solver == "" {
 		o.Solver = SolverTRWS
 	}
 	if o.UnaryConstant == 0 {
@@ -312,15 +280,10 @@ func (o *Optimizer) warmStart(prob *problem) []int {
 
 // solve runs the configured solver through the unified solve registry.  All
 // solvers share the same driver (best-labeling tracking, convergence rule,
-// energy history, cancellation); the registry name comes from the Solver
-// selector.  A non-nil dirty mask switches warm-capable kernels to the
-// incremental dirty-frontier schedule.
+// energy history, cancellation).  A non-nil dirty mask switches warm-capable
+// kernels to the incremental dirty-frontier schedule.
 func (o *Optimizer) solve(ctx context.Context, g *mrf.Graph, initial []int, dirty []bool) (mrf.Solution, error) {
-	name := o.opts.Solver.String()
-	if !solve.Registered(name) {
-		return mrf.Solution{}, fmt.Errorf("core: unknown solver %v", o.opts.Solver)
-	}
-	return solve.Solve(ctx, name, g, solve.Options{
+	return solve.Solve(ctx, string(o.opts.Solver), g, solve.Options{
 		MaxIterations: o.opts.MaxIterations,
 		Workers:       o.opts.Workers,
 		Seed:          o.opts.Seed,

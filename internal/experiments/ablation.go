@@ -15,8 +15,9 @@ import (
 // Ablation compares the solvers (TRW-S, loopy BP, ICM, simulated annealing)
 // and the non-optimising baselines (greedy colouring, random, mono) on the
 // same diversification instance: achieved objective energy, pairwise
-// similarity cost and wall-clock time.  This is experiment A1 of DESIGN.md
-// and backs the paper's design choice of TRW-S in Section V-C.
+// similarity cost and wall-clock time.  It is one of the library's own
+// experiments (README "Experiments"), not a paper table, and backs the
+// paper's design choice of TRW-S in Section V-C.
 func Ablation(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	hosts, degree, services := 120, 8, 3

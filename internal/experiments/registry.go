@@ -8,23 +8,23 @@ import (
 // Runner regenerates one paper artefact.
 type Runner func(Config) (*Table, error)
 
-// registry maps experiment IDs to runners.  IDs follow the paper's artefact
-// numbering (fig1, fig2, fig4, table2, table3, table5-table9) plus the
-// library's own ablation experiment.
+// registry maps experiment IDs to runners: the paper's artefacts under
+// their numbering, then the library's own experiments.  README's
+// "Experiments" section records which is which.
 func registry() map[string]Runner {
 	return map[string]Runner{
-		"fig1":     Figure1,
-		"fig2":     Figure2,
-		"fig4":     Figure4,
-		"table2":   TableII,
-		"table3":   TableIII,
-		"table5":   TableV,
-		"table6":   TableVI,
-		"table7":   TableVII,
-		"table8":   TableVIII,
-		"table9":   TableIX,
-		"ablation": Ablation,
-		// Extensions beyond the paper's own tables (documented in DESIGN.md).
+		"fig1":   Figure1,
+		"fig2":   Figure2,
+		"fig4":   Figure4,
+		"table2": TableII,
+		"table3": TableIII,
+		"table5": TableV,
+		"table6": TableVI,
+		"table7": TableVII,
+		"table8": TableVIII,
+		"table9": TableIX,
+		// The library's own experiments, beyond the paper's artefacts.
+		"ablation":    Ablation,
 		"metrics":     MetricsTable,
 		"adversary":   AdversaryTable,
 		"topology":    TopologyTable,

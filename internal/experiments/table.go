@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI-VIII).  Each experiment returns a Table value that
 // renders as text in the same layout as the corresponding paper artefact;
-// cmd/divtables prints them and bench_test.go wraps each one in a
+// `div tables` prints them and bench_test.go wraps each one in a
 // testing.B benchmark.
 package experiments
 

@@ -51,11 +51,11 @@ func TopologyTable(cfg Config) (*Table, error) {
 		},
 	}
 	for _, cell := range cells {
-		// One shared seed across the topology rows: every row must see the
-		// same similarity table and host layout, or the cross-topology cost
-		// comparison would mix in seed noise (the per-cell derived seeds are
-		// for benchmark suites, where cells are never compared to each other).
-		cell.Seed = cfg.Seed
+		// One shared instance seed across the topology rows: every row must
+		// see the same similarity table and host layout, or the
+		// cross-topology cost comparison would mix in seed noise (the
+		// per-instance derived seeds are for benchmark suites).
+		cell.GraphSeed = cfg.Seed
 		net, sim, err := scenario.BuildNetwork(cell)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,8 @@
 // Package icm implements Iterated Conditional Modes and a simulated-annealing
 // variant — simple local-search baselines for the MRF minimisation problem.
 // ICM converges to a local optimum extremely quickly but has no optimality
-// guarantee; it is used in the solver ablation (A1 in DESIGN.md).  Only the
-// sweep kernel lives here; restarts are phases of the kernel and the
+// guarantee; it is used in the solver ablation (README "Experiments").  Only
+// the sweep kernel lives here; restarts are phases of the kernel and the
 // best-labeling tracking, history and cancellation live in the shared solve
 // driver.
 package icm

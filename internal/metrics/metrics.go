@@ -306,7 +306,7 @@ func enumeratePaths(net *netmodel.Network, entry, target netmodel.HostID, maxLen
 }
 
 // Summary bundles all three Zhang-style metrics for one assignment, as
-// reported by the metrics experiment and cmd/divsim.
+// reported by the metrics experiment and `div report`.
 type Summary struct {
 	Richness      EffectiveRichness
 	LeastEffort   float64

@@ -14,8 +14,8 @@ import (
 // UpdateHostServices — and can record those mutations into a change journal.
 // The journal entries form a Delta: a serialisable, replayable description of
 // an evolution step that downstream consumers (the incremental optimiser in
-// internal/core, the watch mode of cmd/divopt) apply without re-deriving the
-// whole model from scratch.
+// internal/core, divd's delta endpoint) apply without re-deriving the whole
+// model from scratch.
 
 // DeltaOpKind names one mutation in a Delta.
 type DeltaOpKind string
@@ -242,7 +242,7 @@ func applyOp(n *Network, op DeltaOp) error {
 }
 
 // EncodeDeltas writes deltas as JSON lines (one compact Delta object per
-// line), the stream format consumed by divopt -watch.
+// line), the stream format NewDeltaDecoder reads.
 func EncodeDeltas(w io.Writer, deltas []Delta) error {
 	enc := json.NewEncoder(w)
 	for i, d := range deltas {

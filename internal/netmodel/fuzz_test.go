@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// FuzzDeltaRoundTrip guards the delta serialisation surface that divopt
-// -watch depends on: any delta that decodes and validates must survive an
-// encode/decode round trip unchanged.
+// FuzzDeltaRoundTrip guards the delta serialisation surface that divd's
+// delta endpoint depends on: any delta that decodes and validates must
+// survive an encode/decode round trip unchanged.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"op":"add_edge","a":"h1","b":"h2"}]}`))
 	f.Add([]byte(`{"ops":[{"op":"remove_host","id":"h1"}]}`))
@@ -139,8 +139,8 @@ func TestDeltaDecoderTruncatedTail(t *testing.T) {
 	}
 }
 
-// FuzzSpecRoundTrip covers the network spec surface the watch mode loads its
-// initial network from.
+// FuzzSpecRoundTrip covers the network spec surface `div -in` and divd's
+// create endpoint load a network from.
 func FuzzSpecRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"hosts":[{"id":"a","services":["os"],"choices":{"os":["p1"]}}],"links":[]}`))
 	f.Add([]byte(`{"hosts":[{"id":"a","services":["os"],"choices":{"os":["p1"]}},{"id":"b","services":["os"],"choices":{"os":["p1","p2"]}}],"links":[{"a":"a","b":"b"}]}`))

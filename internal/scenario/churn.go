@@ -107,8 +107,8 @@ type hostShape struct {
 // generated network: host leaves, host joins (wired into the surviving
 // topology with the cell's synthetic catalogue) and service upgrades
 // (preference changes), spread over ChurnSpec.Steps deltas.  The stream
-// depends only on the cell's fields and the network's host list, so a
-// measurement can always be reproduced.
+// depends only on the churn spec, the cell's instance seed and the
+// network's host list, so a measurement can always be reproduced.
 func GenerateChurn(net *netmodel.Network, c Cell) ([]netmodel.Delta, error) {
 	spec := c.Churn
 	if spec.None() {
@@ -118,7 +118,7 @@ func GenerateChurn(net *netmodel.Network, c Cell) ([]netmodel.Delta, error) {
 	if steps <= 0 {
 		steps = defaultChurnSteps
 	}
-	rng := rand.New(rand.NewSource(churnSeed(c.Seed)))
+	rng := rand.New(rand.NewSource(churnSeed(c.instanceSeed())))
 
 	live := net.Hosts()
 	shapes := make(map[netmodel.HostID]hostShape, len(live))

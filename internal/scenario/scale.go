@@ -30,21 +30,10 @@ func execGraphCell(ctx context.Context, c Cell) (Measurement, error) {
 		Attack:   c.Attack.String(),
 		Seed:     c.Seed,
 	}
-	// GraphSeed, not Seed: the instance seed ignores the solver axis, so the
-	// trws and multilevel twins of a cell solve the identical graph and the
-	// energy-gap annotation compares like with like.  Hand-built cells that
-	// never went through Expand fall back to the cell seed.
-	genSeed := c.GraphSeed
-	if genSeed == 0 {
-		genSeed = c.Seed
-	}
-	g, err := netgen.UniformGraph(netgen.RandomConfig{
-		Hosts:              c.Hosts,
-		Degree:             c.Degree,
-		Services:           c.Services,
-		ProductsPerService: c.ProductsPerService,
-		Seed:               genSeed,
-	})
+	// The instance seed ignores the solver axis, so the trws and multilevel
+	// twins of a cell solve the identical graph and the energy-gap
+	// annotation compares like with like.
+	g, err := netgen.UniformGraph(c.instanceConfig())
 	if err != nil {
 		return meta, err
 	}

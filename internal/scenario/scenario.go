@@ -181,12 +181,13 @@ type Cell struct {
 	// Churn selects the delta stream replayed after the initial solve (the
 	// zero value / "none" disables churn).
 	Churn ChurnSpec
-	// Seed is the cell's derived seed.
+	// Seed is the cell's derived seed; it drives the solver and the attack
+	// and slam randomness.
 	Seed int64
-	// GraphSeed is the instance-generation seed, derived from the structural
-	// axes only (topology/hosts/degree/services).  Cells that differ only in
-	// solver or attack share it, so graph-direct twins solve the identical
-	// instance and cross-solver energy gaps compare like with like.
+	// GraphSeed is the instance seed, derived from the structural axes only
+	// (topology/hosts/degree/services).  Cells that differ only in solver,
+	// attack, churn or slam profile share it, so they solve the identical
+	// instance and cross-cell comparisons compare like with like.
 	GraphSeed int64
 	// MaxIterations, Parts, DisableWarmStart, AttackRuns, Repeats and
 	// Timeout are inherited from the matrix.
@@ -356,17 +357,34 @@ func Expand(m Matrix) ([]Cell, error) {
 	return cells, nil
 }
 
-// BuildNetwork generates the network and similarity table of one cell.  The
-// construction depends only on the cell's fields, so callers (tests, the
-// experiment tables) can rebuild the exact instance a measurement came from.
-func BuildNetwork(c Cell) (*netmodel.Network, *vulnsim.SimilarityTable, error) {
-	genCfg := netgen.RandomConfig{
+// instanceSeed is the seed every input of the cell's instance derives from:
+// the network, its similarity table, the churn stream and the graph-direct
+// MRF.  Hand-built cells that never went through Expand fall back to the
+// cell seed.
+func (c Cell) instanceSeed() int64 {
+	if c.GraphSeed != 0 {
+		return c.GraphSeed
+	}
+	return c.Seed
+}
+
+// instanceConfig is the generator configuration of the cell's instance.
+func (c Cell) instanceConfig() netgen.RandomConfig {
+	return netgen.RandomConfig{
 		Hosts:              c.Hosts,
 		Degree:             c.Degree,
 		Services:           c.Services,
 		ProductsPerService: c.ProductsPerService,
-		Seed:               c.Seed,
+		Seed:               c.instanceSeed(),
 	}
+}
+
+// BuildNetwork generates the network and similarity table of one cell.  The
+// construction depends only on the cell's structural fields and instance
+// seed, so callers (tests, the experiment tables) can rebuild the exact
+// instance a measurement came from.
+func BuildNetwork(c Cell) (*netmodel.Network, *vulnsim.SimilarityTable, error) {
+	genCfg := c.instanceConfig()
 	sim := netgen.SyntheticSimilarity(genCfg, 0.6)
 	var (
 		net *netmodel.Network

@@ -2,12 +2,16 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"netdiversity/internal/netmodel"
 )
 
 // tinyMatrix is a fast two-cell matrix used by the execution tests.
@@ -99,6 +103,40 @@ func TestExpandRejectsInvalidAxes(t *testing.T) {
 		if _, err := Expand(m); err == nil {
 			t.Errorf("matrix %+v should fail to expand", m)
 		}
+	}
+}
+
+// TestQuickCellsShareInstances pins the instance seed: quick-suite cells
+// that differ only in solver or attack build the identical network, so the
+// suite's 32 cells solve its 4 instances.
+func TestQuickCellsShareInstances(t *testing.T) {
+	m, err := Suite("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Expand(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make(map[string][]byte)
+	for _, c := range cells {
+		net, _, err := BuildNetwork(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := json.Marshal(netmodel.ToSpec(net, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		instance := fmt.Sprintf("%s/h%d/d%d/s%d", c.Topology, c.Hosts, c.Degree, c.Services)
+		if first, ok := specs[instance]; !ok {
+			specs[instance] = spec
+		} else if string(first) != string(spec) {
+			t.Errorf("cell %s builds a different network than the other %s cells", c.ID, instance)
+		}
+	}
+	if len(cells) != 32 || len(specs) != 4 {
+		t.Errorf("quick suite: %d cells over %d instances, want 32 over 4", len(cells), len(specs))
 	}
 }
 

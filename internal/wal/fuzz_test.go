@@ -30,7 +30,7 @@ func FuzzReadFrame(f *testing.F) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		frames := 0
 		for {
-			payload, err := ReadFrame(r)
+			payload, err := readFrame(r)
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("unclassified frame error: %v", err)

@@ -53,10 +53,10 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// ReadFrame reads one frame, returning its payload.  io.EOF means a clean
+// readFrame reads one frame, returning its payload.  io.EOF means a clean
 // end exactly at a frame boundary; ErrTorn means the input ends inside a
 // frame; ErrCorrupt means the frame is complete but fails validation.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
+func readFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -88,7 +88,7 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 func ScanFrames(r io.Reader, limit int, fn func(payload []byte) error) error {
 	br := bufio.NewReader(r)
 	for n := 0; ; n++ {
-		payload, err := ReadFrame(br)
+		payload, err := readFrame(br)
 		if err == io.EOF {
 			return nil
 		}

@@ -99,7 +99,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	r := bufio.NewReader(bytes.NewReader(buf))
 	for i, want := range payloads {
-		got, err := ReadFrame(r)
+		got, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -107,7 +107,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %q want %q", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(r); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(r); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected clean EOF at frame boundary, got %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 
 	// Every strict prefix of the frame is torn, never corrupt.
 	for cut := 1; cut < len(frame); cut++ {
-		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:cut])))
+		_, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:cut])))
 		if !errors.Is(err, ErrTorn) {
 			t.Fatalf("prefix %d/%d: got %v, want ErrTorn", cut, len(frame), err)
 		}
@@ -126,7 +126,7 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 	for i := frameHeaderSize; i < len(frame); i++ {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
-		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(bad)))
+		_, err := readFrame(bufio.NewReader(bytes.NewReader(bad)))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: got %v, want ErrCorrupt", i, err)
 		}
@@ -134,7 +134,7 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 	// An absurd declared length is corruption, not an allocation attempt.
 	bad := append([]byte(nil), frame...)
 	bad[3] = 0xff
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrCorrupt) {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd length: got %v, want ErrCorrupt", err)
 	}
 }

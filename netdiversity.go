@@ -111,7 +111,7 @@ type (
 	RandomNetworkConfig = netgen.RandomConfig
 )
 
-// Solver selectors.
+// Solver names linked into every build (see ParseSolver for the rest).
 const (
 	SolverTRWS   = core.SolverTRWS
 	SolverBP     = core.SolverBP
@@ -160,7 +160,7 @@ func NewOptimizer(net *Network, sim *SimilarityTable, opts OptimizerOptions) (*O
 func ParseSolver(name string) (Solver, error) { return core.ParseSolver(name) }
 
 // SolverNames lists the names registered with the unified solver registry;
-// each is usable with ParseSolver and the cmd tools' -solver flags.
+// each is usable with ParseSolver and the div tool's -solver flag.
 func SolverNames() []string { return core.SolverNames() }
 
 // PairwiseSimilarityCost returns the summed similarity over all links and
