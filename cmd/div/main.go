@@ -16,8 +16,9 @@
 //
 // opt, sim and report load one problem: the spec named by -in together with
 // the spec's own constraints, or (with -case-study, or without -in) the
-// built-in Stuxnet case study under the -scenario constraints.  Every
-// subcommand takes -cpuprofile and -memprofile.
+// built-in Stuxnet case study under the -scenario constraints (report always
+// uses host-constraints).  Every subcommand takes -cpuprofile and
+// -memprofile.
 package main
 
 import (
@@ -55,7 +56,7 @@ var commands = map[string]command{
 		common{scenario: "none", solver: "trws", iterations: 100, seed: 1, workers: 1}, optCmd},
 	"sim": {"in case-study scenario solver seed workers entry target runs",
 		common{scenario: "none", solver: "trws", seed: 1, workers: 1, entry: "c4", target: "t5", runs: 1000}, simCmd},
-	"report": {"in case-study scenario seed workers entry target runs",
+	"report": {"in case-study seed workers entry target runs",
 		common{scenario: "host-constraints", seed: 1, workers: 1, entry: "c4", target: "t5", runs: 300}, reportCmd},
 	"tables":   {"seed workers", common{seed: 42, workers: 1}, tablesCmd},
 	"simtable": {"", common{}, simtableCmd},

@@ -63,7 +63,8 @@ const (
 	// VerdictMissing means the baseline cell is absent from the current run.
 	VerdictMissing Verdict = "missing"
 	// VerdictStale means the two cells solved different instances (seed,
-	// graph size, churn stream length or slam request count differ).
+	// instance seed, graph size, churn stream length or slam request count
+	// differ).
 	VerdictStale Verdict = "stale"
 )
 
@@ -161,13 +162,19 @@ func slamOps(m Measurement) int64 {
 }
 
 // staleNote names the first field showing that the two cells solved
-// different instances, or returns "".
+// different instances, or returns "".  A baseline recorded before cells
+// carried instance_seed (0) is not checked on it.
 func staleNote(old, cur Measurement) string {
+	oldInstance := old.InstanceSeed
+	if oldInstance == 0 {
+		oldInstance = cur.InstanceSeed
+	}
 	for _, f := range []struct {
 		name     string
 		old, cur int64
 	}{
 		{"seed", old.Seed, cur.Seed},
+		{"instance_seed", oldInstance, cur.InstanceSeed},
 		{"nodes", int64(old.Nodes), int64(cur.Nodes)},
 		{"edges", int64(old.Edges), int64(cur.Edges)},
 		{"churn_steps", int64(old.ChurnSteps), int64(cur.ChurnSteps)},

@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the diff golden fi
 // cell rolled into one.
 func gateCell() Measurement {
 	return Measurement{
-		ID: "c", Seed: 7, Nodes: 600, Edges: 2400,
+		ID: "c", Seed: 7, InstanceSeed: 9, Nodes: 600, Edges: 2400,
 		Energy: 100, Iterations: 12, Converged: true,
 		WallMS: 50, AllocObjects: 10000, AllocBytes: 1 << 20,
 		MCRunsPerSec: 1e5, MCAllocPerRun: 2000,
@@ -73,6 +73,8 @@ var gateRules = []struct {
 	{"solve", "new cell", func(_, cur *Report) { cur.Cells = append(cur.Cells, Measurement{ID: "extra"}) }, "extra", VerdictNew, regenerate},
 	{"solve", "missing cell", func(base, _ *Report) { base.Cells = append(base.Cells, Measurement{ID: "gone"}) }, "gone", VerdictMissing, regenerate},
 	{"solve", "changed seed", func(_, cur *Report) { cur.Cells[0].Seed = 8 }, "", VerdictStale, "seed 7 -> 8: " + regenerate},
+	{"solve", "changed instance seed", func(_, cur *Report) { cur.Cells[0].InstanceSeed = 10 }, "", VerdictStale, "instance_seed 9 -> 10: " + regenerate},
+	{"solve", "baseline without instance seed", func(base, _ *Report) { base.Cells[0].InstanceSeed = 0 }, "", VerdictOK, ""},
 	{"solve", "changed graph", func(_, cur *Report) { cur.Cells[0].Edges++ }, "", VerdictStale, "edges 2400 -> 2401"},
 
 	{"mc", "mc_alloc_per_run over its bound", func(_, cur *Report) { cur.Cells[0].MCAllocPerRun = 2120 }, "", VerdictRegression, "mc_alloc_per_run 2000 -> 2120"},

@@ -26,6 +26,9 @@ type Measurement struct {
 	Solver   string `json:"solver"`
 	Attack   string `json:"attack"`
 	Seed     int64  `json:"seed"`
+	// InstanceSeed is the seed the cell's instance was generated from
+	// (Cell.GraphSeed, or Seed for hand-built cells).
+	InstanceSeed int64 `json:"instance_seed,omitempty"`
 
 	// Energy is the achieved objective (Eq. 1); PairwiseCost the pairwise
 	// similarity part of it (Eq. 3); Richness the d1 diversity metric of the
@@ -130,14 +133,15 @@ func Exec(ctx context.Context, net *netmodel.Network, sim *vulnsim.SimilarityTab
 		c.Attack = AttackNone
 	}
 	meta := Measurement{
-		ID:       c.ID,
-		Topology: c.Topology,
-		Hosts:    net.NumHosts(),
-		Degree:   c.Degree,
-		Services: c.Services,
-		Solver:   c.Solver,
-		Attack:   c.Attack.String(),
-		Seed:     c.Seed,
+		ID:           c.ID,
+		Topology:     c.Topology,
+		Hosts:        net.NumHosts(),
+		Degree:       c.Degree,
+		Services:     c.Services,
+		Solver:       c.Solver,
+		Attack:       c.Attack.String(),
+		Seed:         c.Seed,
+		InstanceSeed: c.instanceSeed(),
 	}
 	solver, err := core.ParseSolver(c.Solver)
 	if err != nil {
@@ -331,7 +335,7 @@ func runCell(ctx context.Context, c Cell) Measurement {
 		return Measurement{
 			ID: c.ID, Topology: c.Topology, Hosts: c.Hosts, Degree: c.Degree,
 			Services: c.Services, Solver: c.Solver, Attack: c.Attack.String(),
-			Seed: c.Seed, Error: err.Error(),
+			Seed: c.Seed, InstanceSeed: c.instanceSeed(), Error: err.Error(),
 		}
 	}
 	out, err := Exec(ctx, net, sim, c)

@@ -21,14 +21,15 @@ import (
 // axis anyway.
 func execGraphCell(ctx context.Context, c Cell) (Measurement, error) {
 	meta := Measurement{
-		ID:       c.ID,
-		Topology: c.Topology,
-		Hosts:    c.Hosts,
-		Degree:   c.Degree,
-		Services: c.Services,
-		Solver:   c.Solver,
-		Attack:   c.Attack.String(),
-		Seed:     c.Seed,
+		ID:           c.ID,
+		Topology:     c.Topology,
+		Hosts:        c.Hosts,
+		Degree:       c.Degree,
+		Services:     c.Services,
+		Solver:       c.Solver,
+		Attack:       c.Attack.String(),
+		Seed:         c.Seed,
+		InstanceSeed: c.instanceSeed(),
 	}
 	// The instance seed ignores the solver axis, so the trws and multilevel
 	// twins of a cell solve the identical graph and the energy-gap
