@@ -19,6 +19,14 @@ func init() {
 	solve.Register("bp", func() solve.Kernel { return &Kernel{} })
 }
 
+const (
+	// damping mixes each new message with the previous round's one.
+	damping = 0.5
+	// tolerance is the message fixed point: a round whose largest message
+	// change is below it ends the solve as converged.
+	tolerance = 1e-4
+)
+
 // Kernel is the synchronous loopy-BP kernel.
 type Kernel struct {
 	g    *mrf.Graph
@@ -47,27 +55,17 @@ type Kernel struct {
 }
 
 // Defaults disables the driver's energy-patience rule: BP's stopping
-// criterion is its own message fixed point, as in the seed implementation,
-// and it applies its damping/tolerance defaults.
+// criterion is its own message fixed point, as in the seed implementation.
 func (k *Kernel) Defaults(opts solve.Options) solve.Options {
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 100
 	}
 	opts.Patience = opts.MaxIterations
-	if opts.Damping == 0 {
-		opts.Damping = 0.5
-	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 1e-4
-	}
 	return opts
 }
 
-// Init validates the damping factor and builds the flat workspace.
+// Init builds the flat workspace.
 func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
-	if opts.Damping < 0 || opts.Damping >= 1 {
-		return fmt.Errorf("bp: damping %v out of range [0,1)", opts.Damping)
-	}
 	k.g = g
 	k.opts = opts
 	k.n = g.NumNodes()
@@ -215,7 +213,7 @@ func (k *Kernel) Step() solve.Step {
 			old := k.slot(k.msg, int(he.Edge), !he.IsU)
 			for i := range out {
 				out[i] -= m
-				out[i] = (1-k.opts.Damping)*out[i] + k.opts.Damping*old[i]
+				out[i] = (1-damping)*out[i] + damping*old[i]
 				if d := math.Abs(out[i] - old[i]); d > maxDelta {
 					maxDelta = d
 				}
@@ -239,7 +237,7 @@ func (k *Kernel) Step() solve.Step {
 	}
 	return solve.Step{
 		Labels:     labels,
-		FixedPoint: maxDelta < k.opts.Tolerance,
+		FixedPoint: maxDelta < tolerance,
 		Exhausted:  k.iter >= k.opts.MaxIterations,
 	}
 }

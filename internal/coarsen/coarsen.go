@@ -37,32 +37,18 @@ import (
 	"netdiversity/internal/mrf"
 )
 
-// Options tunes hierarchy construction.  The zero value applies defaults.
-type Options struct {
-	// CoarsestSize stops coarsening once a level has at most this many
-	// nodes.  Default 1024.
-	CoarsestSize int
+const (
+	// DefaultCoarsestSize is the level size at which the multilevel solver
+	// stops coarsening and hands the level to its base solver.
+	DefaultCoarsestSize = 1024
 	// MaxLevels bounds the number of coarse levels built on top of the fine
-	// graph.  Default 24.
-	MaxLevels int
+	// graph.
+	MaxLevels = 24
 	// MinReduction is the minimum fractional node-count reduction a
 	// contraction must achieve to be kept; a stalled contraction ends the
-	// hierarchy.  Default 0.05.
-	MinReduction float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = 1024
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 24
-	}
-	if o.MinReduction <= 0 {
-		o.MinReduction = 0.05
-	}
-	return o
-}
+	// hierarchy.
+	MinReduction = 0.05
+)
 
 // Hierarchy is a multilevel coarsening of one MRF: Levels[0] is the original
 // (fine) graph and Levels[l+1] the contraction of Levels[l].  Maps[l] maps
@@ -101,17 +87,17 @@ func (h *Hierarchy) Project(labels []int, from, to int) ([]int, error) {
 	return cur, nil
 }
 
-// Build constructs the hierarchy for a graph.  Construction is fully
-// deterministic: the same graph always yields the same hierarchy.
-func Build(g *mrf.Graph, opts Options) (*Hierarchy, error) {
+// Build constructs the hierarchy for a graph, coarsening until a level has at
+// most coarsestSize nodes.  Construction is fully deterministic: the same
+// graph always yields the same hierarchy.
+func Build(g *mrf.Graph, coarsestSize int) (*Hierarchy, error) {
 	if g == nil {
 		return nil, errors.New("coarsen: nil graph")
 	}
-	opts = opts.withDefaults()
 	h := &Hierarchy{Levels: []*mrf.Graph{g}}
-	for len(h.Levels)-1 < opts.MaxLevels {
+	for len(h.Levels)-1 < MaxLevels {
 		cur := h.Coarsest()
-		if cur.NumNodes() <= opts.CoarsestSize {
+		if cur.NumNodes() <= coarsestSize {
 			break
 		}
 		coarse, m, err := Contract(cur)
@@ -119,7 +105,7 @@ func Build(g *mrf.Graph, opts Options) (*Hierarchy, error) {
 			return nil, err
 		}
 		reduced := cur.NumNodes() - coarse.NumNodes()
-		if float64(reduced) < opts.MinReduction*float64(cur.NumNodes()) {
+		if float64(reduced) < MinReduction*float64(cur.NumNodes()) {
 			break // contraction stalled; solving this level again buys nothing
 		}
 		h.Levels = append(h.Levels, coarse)

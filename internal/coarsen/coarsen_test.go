@@ -64,7 +64,7 @@ func TestContractEnergyConsistent(t *testing.T) {
 // labeling all the way down without refinement keeps the energy identical.
 func TestHierarchyEnergyConsistent(t *testing.T) {
 	g := testGraph(t, 400, 3)
-	h, err := coarsen.Build(g, coarsen.Options{CoarsestSize: 32})
+	h, err := coarsen.Build(g, 32)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestHierarchyEnergyConsistent(t *testing.T) {
 // energy, for any coarse labeling.
 func TestProjectionRefinementNeverIncreasesEnergy(t *testing.T) {
 	g := testGraph(t, 150, 5)
-	h, err := coarsen.Build(g, coarsen.Options{CoarsestSize: 64})
+	h, err := coarsen.Build(g, 64)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestProjectionRefinementNeverIncreasesEnergy(t *testing.T) {
 func TestHierarchyDeterministic(t *testing.T) {
 	build := func() (*coarsen.Hierarchy, *mrf.Graph) {
 		g := testGraph(t, 300, 17)
-		h, err := coarsen.Build(g, coarsen.Options{CoarsestSize: 32})
+		h, err := coarsen.Build(g, 32)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}

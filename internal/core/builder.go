@@ -41,9 +41,6 @@ type problem struct {
 	index map[variable]int
 	// candidates[i] are the product choices of variable i, in label order.
 	candidates [][]netmodel.ProductID
-	// opts are the options the problem was built with (needed to patch unary
-	// rows after a delta).
-	opts Options
 	// dead[i] marks tombstoned variables; deadCount is their number.
 	dead      []bool
 	deadCount int
@@ -92,8 +89,8 @@ func (p *problem) clearDirty() {
 }
 
 // buildProblem constructs the MRF for the network, similarity table and
-// constraint set under the given options.
-func buildProblem(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmodel.ConstraintSet, opts Options) (*problem, error) {
+// constraint set.
+func buildProblem(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmodel.ConstraintSet) (*problem, error) {
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid network: %w", err)
 	}
@@ -105,7 +102,6 @@ func buildProblem(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmo
 
 	p := &problem{
 		index:   make(map[variable]int),
-		opts:    opts,
 		dirty:   make(map[int]bool),
 		touched: make(map[netmodel.HostID]struct{}),
 	}
@@ -133,10 +129,10 @@ func buildProblem(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmo
 		}
 	}
 
-	if err := p.addUnaryCosts(net, cs, opts); err != nil {
+	if err := p.addUnaryCosts(net, cs); err != nil {
 		return nil, err
 	}
-	if err := p.addSimilarityEdges(net, sim, opts); err != nil {
+	if err := p.addSimilarityEdges(net, sim); err != nil {
 		return nil, err
 	}
 	if err := p.addConstraintEdges(net, cs); err != nil {
@@ -147,9 +143,9 @@ func buildProblem(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmo
 
 // addUnaryCosts fills in φ: the uniform constant Pr_const, optional host
 // preferences, legacy-host pinning (first candidate) and pinned products.
-func (p *problem) addUnaryCosts(net *netmodel.Network, cs *netmodel.ConstraintSet, opts Options) error {
+func (p *problem) addUnaryCosts(net *netmodel.Network, cs *netmodel.ConstraintSet) error {
 	for i := range p.vars {
-		if err := p.setUnaryVar(i, net, cs, opts); err != nil {
+		if err := p.setUnaryVar(i, net, cs); err != nil {
 			return err
 		}
 	}
@@ -159,7 +155,7 @@ func (p *problem) addUnaryCosts(net *netmodel.Network, cs *netmodel.ConstraintSe
 // setUnaryVar (re)computes the unary cost row of one variable from the
 // network's current preferences, legacy pinning and fixed products.  It is
 // the unit shared by the full build and the delta patcher.
-func (p *problem) setUnaryVar(i int, net *netmodel.Network, cs *netmodel.ConstraintSet, opts Options) error {
+func (p *problem) setUnaryVar(i int, net *netmodel.Network, cs *netmodel.ConstraintSet) error {
 	v := p.vars[i]
 	h, ok := net.Host(v.host)
 	if !ok {
@@ -177,12 +173,12 @@ func (p *problem) setUnaryVar(i int, net *netmodel.Network, cs *netmodel.Constra
 		fixedProduct, fixed = cands[0], true
 	}
 	for l, cand := range cands {
-		cost := opts.UnaryConstant
+		cost := mrf.UnaryConstant
 		if prefs != nil {
 			if pr, ok := prefs[cand]; ok {
 				// Higher preference -> lower cost.  The constant keeps
 				// the unary term on the same scale as the default.
-				cost = opts.UnaryConstant * (1 - clamp01(pr))
+				cost = mrf.UnaryConstant * (1 - clamp01(pr))
 			}
 		}
 		if fixed && cand != fixedProduct {
@@ -211,7 +207,7 @@ func (p *problem) setUnaryVar(i int, net *netmodel.Network, cs *netmodel.Constra
 // addSimilarityEdges adds the pairwise similarity factor of Eq. 3 for every
 // network link and every service shared by its endpoints.  Edges whose
 // endpoints have identical candidate lists share one cost matrix.
-func (p *problem) addSimilarityEdges(net *netmodel.Network, sim *vulnsim.SimilarityTable, opts Options) error {
+func (p *problem) addSimilarityEdges(net *netmodel.Network, sim *vulnsim.SimilarityTable) error {
 	if sim == nil {
 		return errors.New("core: nil similarity table")
 	}
@@ -233,7 +229,7 @@ func (p *problem) addSimilarityEdges(net *netmodel.Network, sim *vulnsim.Similar
 				}
 			}
 			if cost == nil {
-				cost = similarityMatrix(candsA, candsB, sim, opts.PairwiseWeight)
+				cost = similarityMatrix(candsA, candsB, sim)
 				cache[key] = append(cache[key], simCacheEntry{a: candsA, b: candsB, cost: cost})
 			}
 			if _, err := p.graph.AddEdgeShared(ia, ib, cost); err != nil {
@@ -266,12 +262,12 @@ func equalCandidates(a, b []netmodel.ProductID) bool {
 
 // similarityMatrix builds the pairwise similarity cost matrix of Eq. 3 for
 // two candidate lists.
-func similarityMatrix(candsA, candsB []netmodel.ProductID, sim *vulnsim.SimilarityTable, weight float64) [][]float64 {
+func similarityMatrix(candsA, candsB []netmodel.ProductID, sim *vulnsim.SimilarityTable) [][]float64 {
 	cost := make([][]float64, len(candsA))
 	for x, pa := range candsA {
 		cost[x] = make([]float64, len(candsB))
 		for y, pb := range candsB {
-			cost[x][y] = weight * sim.Sim(string(pa), string(pb))
+			cost[x][y] = sim.Sim(string(pa), string(pb))
 		}
 	}
 	return cost

@@ -67,7 +67,7 @@ func BenchmarkBuildProblem(bm *testing.B) {
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		if _, err := buildProblem(net, sim, nil, Options{}.withDefaults()); err != nil {
+		if _, err := buildProblem(net, sim, nil); err != nil {
 			bm.Fatal(err)
 		}
 	}

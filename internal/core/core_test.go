@@ -151,7 +151,7 @@ func TestOptimizeBeatsBaselines(t *testing.T) {
 
 func TestEnergyMatchesManualComputation(t *testing.T) {
 	net, sim := caseNetwork(t)
-	opt, err := NewOptimizer(net, sim, Options{UnaryConstant: 0.01})
+	opt, err := NewOptimizer(net, sim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func (o *Optimizer) patchAddHost(hid netmodel.HostID) error {
 		if err := p.graph.SetLabelNames(node, names); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if err := p.setUnaryVar(node, o.net, o.cs, p.opts); err != nil {
+		if err := p.setUnaryVar(node, o.net, o.cs); err != nil {
 			return err
 		}
 		if err := o.applyCostToVar(p, node); err != nil {
@@ -288,7 +288,7 @@ func (o *Optimizer) patchAddEdge(a, b netmodel.HostID) error {
 		if !oka || !okb {
 			continue
 		}
-		cost := similarityMatrix(p.candidates[ia], p.candidates[ib], o.sim, p.opts.PairwiseWeight)
+		cost := similarityMatrix(p.candidates[ia], p.candidates[ib], o.sim)
 		if _, err := p.graph.AddEdge(ia, ib, cost); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -329,7 +329,7 @@ func (o *Optimizer) patchUpdateHost(hid netmodel.HostID, oldServices []netmodel.
 			if !ok {
 				continue
 			}
-			if err := p.setUnaryVar(i, o.net, o.cs, p.opts); err != nil {
+			if err := p.setUnaryVar(i, o.net, o.cs); err != nil {
 				return err
 			}
 			if err := o.applyCostToVar(p, i); err != nil {

@@ -57,12 +57,6 @@ func SolverNames() []string { return solve.Names() }
 type Options struct {
 	// Solver selects the minimisation algorithm; default SolverTRWS.
 	Solver Solver
-	// UnaryConstant is Pr_const of Eq. 2, the uniform unary cost used when
-	// a host has no product preference.  Default 0.01.
-	UnaryConstant float64
-	// PairwiseWeight scales the similarity cost of Eq. 3 against the unary
-	// term.  Default 1.
-	PairwiseWeight float64
 	// MaxIterations bounds the solver iterations.  Default 100 (50 for the
 	// local-search solvers).
 	MaxIterations int
@@ -89,12 +83,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Solver == "" {
 		o.Solver = SolverTRWS
-	}
-	if o.UnaryConstant == 0 {
-		o.UnaryConstant = 0.01
-	}
-	if o.PairwiseWeight == 0 {
-		o.PairwiseWeight = 1
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 100
@@ -167,7 +155,7 @@ func (o *Optimizer) ensureProblem() (*problem, error) {
 	if o.prob != nil {
 		return o.prob, nil
 	}
-	prob, err := buildProblem(o.net, o.sim, o.cs, o.opts)
+	prob, err := buildProblem(o.net, o.sim, o.cs)
 	if err != nil {
 		return nil, err
 	}

@@ -121,6 +121,6 @@ func Ablation(cfg Config) (*Table, error) {
 
 	t.AddNote("instance: %d hosts, degree %d, %d services, 4 products per service, seed %d",
 		hosts, degree, services, cfg.Seed)
-	t.AddNote("expected shape: TRW-S with local polish reaches near-minimal energy within a handful of sweeps; simulated annealing can match or edge it out by spending many more iterations; plain loopy BP collapses to a near-homogeneous labeling on tie-heavy instances; mono is the worst")
+	t.AddNote("what the rows measure: every solver row starts from the greedy-colouring warm start and keeps the best labeling it has seen, so none is worse than greedy-coloring; the (raw) rows skip only the final ICM polish, so a raw row equal to greedy-coloring means that solver's decodes never beat the colouring; the polished rows and icm are ICM descents from it; anneal adds random restarts and uphill moves and spends the most sweeps; mono is the worst")
 	return t, nil
 }

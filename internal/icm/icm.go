@@ -20,8 +20,17 @@ import (
 
 func init() {
 	solve.Register("icm", func() solve.Kernel { return &Kernel{} })
-	solve.Register("anneal", func() solve.Kernel { return &Kernel{ForceAnnealing: true} })
+	solve.Register("anneal", func() solve.Kernel { return &Kernel{anneal: true} })
 }
+
+// The "anneal" entry's schedule: annealRestarts random restarts, each
+// starting at temperature initialTemperature and multiplying it by cooling
+// after every sweep.  "icm" runs one plain descent.
+const (
+	annealRestarts     = 4
+	initialTemperature = 1.0
+	cooling            = 0.92
+)
 
 // Polish runs strict ICM descent starting from the given labeling and returns
 // the (weakly) improved labeling.  It is used to locally refine the output of
@@ -63,9 +72,8 @@ func Polish(g *mrf.Graph, labels []int, maxSweeps int) (mrf.Solution, error) {
 // budget), the kernel re-initialises randomly and reports a phase boundary
 // to the driver.
 type Kernel struct {
-	// ForceAnnealing turns the kernel into the "anneal" registry entry:
-	// annealing enabled with a multi-restart default.
-	ForceAnnealing bool
+	// anneal makes the kernel the "anneal" registry entry.
+	anneal bool
 
 	g    *mrf.Graph
 	opts solve.Options
@@ -84,6 +92,10 @@ type Kernel struct {
 	warm   bool
 	active []bool
 
+	// restarts and annealing are this solve's schedule: the entry's, or one
+	// plain descent after WarmStart.
+	restarts       int
+	annealing      bool
 	restart        int
 	sweepInRestart int
 	temp           float64
@@ -96,20 +108,19 @@ type Kernel struct {
 // patience disabled (a restart's plateau must not cut the next restart
 // short; termination is the kernel's own local-optimum / budget rule).
 func (k *Kernel) Defaults(opts solve.Options) solve.Options {
-	if k.ForceAnnealing {
-		opts.Annealing = true
-		if opts.Restarts <= 0 {
-			opts.Restarts = 4
-		}
-	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 50
 	}
-	if opts.Restarts <= 0 {
-		opts.Restarts = 1
-	}
-	opts.Patience = opts.MaxIterations * opts.Restarts
+	opts.Patience = opts.MaxIterations * k.entryRestarts()
 	return opts
+}
+
+// entryRestarts is the registry entry's restart count.
+func (k *Kernel) entryRestarts() int {
+	if k.anneal {
+		return annealRestarts
+	}
+	return 1
 }
 
 // Init builds the incidence workspace and the first restart's labeling.  It
@@ -133,9 +144,11 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 		k.labels = g.GreedyLabeling()
 	}
 	k.warm = false
+	k.restarts = k.entryRestarts()
+	k.annealing = k.anneal
 	k.restart = 0
 	k.sweepInRestart = 0
-	k.temp = opts.InitialTemperature
+	k.temp = initialTemperature
 	k.anyConverged = false
 	return nil
 }
@@ -153,8 +166,8 @@ func (k *Kernel) WarmStart(labels []int, dirty []bool) error {
 	copy(k.labels, labels)
 	k.active = append(k.active[:0], dirty...)
 	k.warm = true
-	k.opts.Restarts = 1
-	k.opts.Annealing = false
+	k.restarts = 1
+	k.annealing = false
 	return nil
 }
 
@@ -214,7 +227,7 @@ func (k *Kernel) sweep() bool {
 			}
 		case k.warm:
 			k.active[node] = false
-		case k.opts.Annealing && k.temp > 1e-9:
+		case k.annealing && k.temp > 1e-9:
 			// Propose a random uphill move with Metropolis acceptance.
 			cand := k.rng.Intn(kn)
 			if cand != cur {
@@ -233,7 +246,7 @@ func (k *Kernel) sweep() bool {
 func (k *Kernel) nextRestart() {
 	k.restart++
 	k.sweepInRestart = 0
-	k.temp = k.opts.InitialTemperature
+	k.temp = initialTemperature
 	for i := range k.labels {
 		k.labels[i] = k.rng.Intn(k.counts[i])
 	}
@@ -245,10 +258,10 @@ func (k *Kernel) nextRestart() {
 func (k *Kernel) Step() solve.Step {
 	changed := k.sweep()
 	k.sweepInRestart++
-	k.temp *= k.opts.Cooling
-	lastRestart := k.restart+1 >= k.opts.Restarts
+	k.temp *= cooling
+	lastRestart := k.restart+1 >= k.restarts
 	switch {
-	case !changed && !k.opts.Annealing:
+	case !changed && !k.annealing:
 		// Local optimum reached for this restart.
 		k.anyConverged = true
 		if lastRestart {

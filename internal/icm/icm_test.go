@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,23 +77,28 @@ func TestSolveImprovesOverGreedy(t *testing.T) {
 	}
 }
 
+// TestSolveRestartsAndAnnealing pins the two registry entries' schedules:
+// "icm" is one descent that stops at its local optimum, "anneal" runs all
+// annealRestarts restarts to their sweep budget (annealing never reports a
+// local optimum) and, tracking the best labeling seen, is not worse here.
 func TestSolveRestartsAndAnnealing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(t, rng, 12, 4)
-	single, err := run(g, solve.Options{Seed: 1})
+	opts := solve.Options{Seed: 1, MaxIterations: 20}
+	single, err := solve.Solve(context.Background(), "icm", g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := run(g, solve.Options{Seed: 1, Restarts: 8})
+	if !single.Converged || single.Iterations >= opts.MaxIterations {
+		t.Errorf("icm should stop at a local optimum within %d sweeps: %d sweeps, converged %v",
+			opts.MaxIterations, single.Iterations, single.Converged)
+	}
+	annealed, err := solve.Solve(context.Background(), "anneal", g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.Energy > single.Energy+1e-9 {
-		t.Errorf("restarts should never hurt: %v vs %v", multi.Energy, single.Energy)
-	}
-	annealed, err := run(g, solve.Options{Seed: 1, Annealing: true, Restarts: 4, MaxIterations: 80})
-	if err != nil {
-		t.Fatal(err)
+	if want := annealRestarts * opts.MaxIterations; annealed.Iterations != want {
+		t.Errorf("anneal ran %d sweeps, want %d restarts x %d", annealed.Iterations, annealRestarts, opts.MaxIterations)
 	}
 	if annealed.Energy > single.Energy+1e-9 {
 		t.Errorf("annealing tracks the best-seen labeling and should not be worse: %v vs %v",
@@ -103,16 +109,19 @@ func TestSolveRestartsAndAnnealing(t *testing.T) {
 func TestSolveDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomGraph(t, rng, 10, 3)
-	a, err := run(g, solve.Options{Seed: 42, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := run(g, solve.Options{Seed: 42, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Energy != b.Energy {
-		t.Errorf("same seed should give the same energy: %v vs %v", a.Energy, b.Energy)
+	for _, name := range []string{"icm", "anneal"} {
+		a, err := solve.Solve(context.Background(), name, g, solve.Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := solve.Solve(context.Background(), name, g, solve.Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Energy != b.Energy || !slices.Equal(a.Labels, b.Labels) || a.Iterations != b.Iterations {
+			t.Errorf("%s: same seed should give the same solve: %v/%d vs %v/%d",
+				name, a.Energy, a.Iterations, b.Energy, b.Iterations)
+		}
 	}
 }
 

@@ -29,6 +29,11 @@ import (
 // numerically stable while still dominating every achievable soft cost.
 const HardPenalty = 1e9
 
+// UnaryConstant is Pr_const of the paper's Eq. 2: the uniform unary cost of a
+// candidate product when the host states no preference for it.  The pairwise
+// similarity term of Eq. 3 carries weight 1 against it.
+const UnaryConstant = 0.01
+
 // edgeRec is the internal edge representation: endpoints plus the index of
 // the interned cost matrix.
 type edgeRec struct {

@@ -60,7 +60,8 @@ const (
 	// expander-like: halving the node count barely shrinks the edge count,
 	// so a deep hierarchy costs O(edges) per level and re-refines nearly
 	// the whole graph each projection.  Above this limit the kernel jumps
-	// straight to AggregateTarget nodes in one deterministic hash pass.
+	// straight to DefaultAggregateTarget nodes in one deterministic hash
+	// pass.
 	DefaultMatchingLimit = 16384
 	// DefaultAggregateTarget is the coarse size of the single-jump path.
 	// Around a thousand coarse nodes the accumulated pair table saturates
@@ -87,18 +88,9 @@ type Stats struct {
 type Kernel struct {
 	// BaseSolver names the registry kernel used on the coarsest level.
 	BaseSolver string
-	// Coarsen tunes hierarchy construction.
-	Coarsen coarsen.Options
-	// RefineIterations bounds each per-level warm repair solve.
-	RefineIterations int
 	// TRWSEdgeLimit switches refinement from trws to icm above this edge
 	// count.
 	TRWSEdgeLimit int
-	// MatchingLimit switches coarsening from the matching hierarchy to the
-	// single-jump aggregation above this fine node count.
-	MatchingLimit int
-	// AggregateTarget is the coarse node count of the single-jump path.
-	AggregateTarget int
 	// Stride is the node-interleave period handed to coarsen.Aggregate
 	// (services per host for the diversification MRF layout); 1 groups raw
 	// node indices.
@@ -137,11 +129,7 @@ func (k *Kernel) Defaults(o solve.Options) solve.Options {
 	if o.DirtyMask != nil {
 		return o
 	}
-	maxLevels := k.Coarsen.MaxLevels
-	if maxLevels <= 0 {
-		maxLevels = 24 // coarsen.Options default
-	}
-	if floor := maxLevels + 4; o.MaxIterations > 0 && o.MaxIterations < floor {
+	if floor := coarsen.MaxLevels + 4; o.MaxIterations > 0 && o.MaxIterations < floor {
 		o.MaxIterations = floor
 	}
 	return o
@@ -158,17 +146,8 @@ func (k *Kernel) Init(g *mrf.Graph, opts solve.Options) error {
 	if !solve.Registered(k.BaseSolver) {
 		return fmt.Errorf("multilevel: unknown base solver %q", k.BaseSolver)
 	}
-	if k.RefineIterations <= 0 {
-		k.RefineIterations = DefaultRefineIterations
-	}
 	if k.TRWSEdgeLimit <= 0 {
 		k.TRWSEdgeLimit = DefaultTRWSEdgeLimit
-	}
-	if k.MatchingLimit <= 0 {
-		k.MatchingLimit = DefaultMatchingLimit
-	}
-	if k.AggregateTarget <= 0 {
-		k.AggregateTarget = DefaultAggregateTarget
 	}
 	if k.Stride <= 0 {
 		k.Stride = 1
@@ -242,7 +221,6 @@ func (k *Kernel) Step() solve.Step {
 		}
 		sol, err := solve.Run(context.Background(), k.h.Coarsest(), solve.Options{
 			MaxIterations: k.opts.MaxIterations,
-			Tolerance:     k.opts.Tolerance,
 			Workers:       k.opts.Workers,
 			Seed:          k.opts.Seed,
 			Checkpoint:    k.opts.Checkpoint,
@@ -274,15 +252,15 @@ func (k *Kernel) Step() solve.Step {
 
 // buildHierarchy picks the coarsening strategy by fine-graph size: a
 // matching hierarchy while deep refinement is affordable, one hash-bucketed
-// jump to AggregateTarget nodes beyond MatchingLimit (see the constants for
-// the expander-graph rationale).  The aggregate path yields a two-level
-// hierarchy, so the rest of the kernel — coarse solve, projection, warm
-// repair — is strategy-agnostic.
+// jump to DefaultAggregateTarget nodes beyond DefaultMatchingLimit (see the
+// constants for the expander-graph rationale).  The aggregate path yields a
+// two-level hierarchy, so the rest of the kernel — coarse solve, projection,
+// warm repair — is strategy-agnostic.
 func (k *Kernel) buildHierarchy() (*coarsen.Hierarchy, error) {
-	if k.g.NumNodes() <= k.MatchingLimit {
-		return coarsen.Build(k.g, k.Coarsen)
+	if k.g.NumNodes() <= DefaultMatchingLimit {
+		return coarsen.Build(k.g, coarsen.DefaultCoarsestSize)
 	}
-	coarse, f2c, err := coarsen.Aggregate(k.g, k.Stride, k.AggregateTarget)
+	coarse, f2c, err := coarsen.Aggregate(k.g, k.Stride, DefaultAggregateTarget)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +288,7 @@ func (k *Kernel) refineDown() error {
 	if err != nil {
 		return err
 	}
-	dirty, count := localDirty(fine, projected, k.opts.Tolerance)
+	dirty, count := localDirty(fine, projected)
 	k.level = fineLevel
 	if count == 0 {
 		k.labels = projected
@@ -323,8 +301,7 @@ func (k *Kernel) refineDown() error {
 		return err
 	}
 	sol, err := solve.Run(context.Background(), fine, solve.Options{
-		MaxIterations: k.RefineIterations,
-		Tolerance:     k.opts.Tolerance,
+		MaxIterations: DefaultRefineIterations,
 		Workers:       k.opts.Workers,
 		Seed:          k.opts.Seed,
 		InitialLabels: projected,
@@ -358,8 +335,9 @@ func (k *Kernel) Stats() Stats { return k.stats }
 func (k *Kernel) Err() error { return k.failed }
 
 // localDirty marks every node whose label is not a local best response given
-// its neighbours' labels (within tol), and returns the mask plus the count.
-func localDirty(g *mrf.Graph, labels []int, tol float64) ([]bool, int) {
+// its neighbours' labels (within solve.Tolerance), and returns the mask plus
+// the count.
+func localDirty(g *mrf.Graph, labels []int) ([]bool, int) {
 	n := g.NumNodes()
 	dirty := make([]bool, n)
 	count := 0
@@ -387,7 +365,7 @@ func localDirty(g *mrf.Graph, labels []int, tol float64) ([]bool, int) {
 				min = row[x]
 			}
 		}
-		if row[labels[i]] > min+tol {
+		if row[labels[i]] > min+solve.Tolerance {
 			dirty[i] = true
 			count++
 		}

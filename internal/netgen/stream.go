@@ -14,15 +14,6 @@ import (
 	"netdiversity/internal/mrf"
 )
 
-// streamUnaryConstant mirrors core.Options.UnaryConstant's default: the
-// uniform φ the paper uses when no host preferences exist.  Constant unaries
-// do not change the argmin, but keeping them makes graph-direct energies
-// comparable with the netmodel→core path at the same size.
-const streamUnaryConstant = 0.01
-
-// streamPairwiseWeight mirrors core.Options.PairwiseWeight's default.
-const streamPairwiseWeight = 1.0
-
 // UniformGraph generates the diversification MRF of a connected uniform
 // random network directly, without materialising a netmodel.Network.  Node
 // host*Services+s is host `host`'s service-s variable with ProductsPerService
@@ -48,9 +39,11 @@ func UniformGraph(cfg RandomConfig) (*mrf.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Constant unaries do not change the argmin, but keeping them makes
+	// graph-direct energies comparable with the netmodel→core path.
 	for i := range counts {
 		for l := 0; l < cfg.ProductsPerService; l++ {
-			if err := g.SetUnary(i, l, streamUnaryConstant); err != nil {
+			if err := g.SetUnary(i, l, mrf.UnaryConstant); err != nil {
 				return nil, err
 			}
 		}
@@ -101,9 +94,8 @@ func uniformLinks(cfg RandomConfig) []uint64 {
 // serviceMatrices builds one pairwise cost matrix per service from the
 // synthetic similarity model (self-similarity 1 on the diagonal, off-diagonal
 // values in [0, 0.6] drawn from the same seeded stream SyntheticSimilarity
-// uses), scaled by the default pairwise weight.  Every returned matrix is a
-// distinct slice identity so AddEdgeShared interns each service's matrix
-// exactly once.
+// uses).  Every returned matrix is a distinct slice identity so
+// AddEdgeShared interns each service's matrix exactly once.
 func serviceMatrices(cfg RandomConfig) [][][]float64 {
 	sim := SyntheticSimilarity(cfg, 0.6)
 	mats := make([][][]float64, cfg.Services)
@@ -113,7 +105,7 @@ func serviceMatrices(cfg RandomConfig) [][][]float64 {
 			m[a] = make([]float64, cfg.ProductsPerService)
 			pa := string(ProductName(s, a))
 			for b := 0; b < cfg.ProductsPerService; b++ {
-				m[a][b] = streamPairwiseWeight * sim.Sim(pa, string(ProductName(s, b)))
+				m[a][b] = sim.Sim(pa, string(ProductName(s, b)))
 			}
 		}
 		mats[s] = m

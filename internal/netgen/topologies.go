@@ -3,6 +3,7 @@ package netgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netdiversity/internal/netmodel"
 )
@@ -110,8 +111,12 @@ func scaleFree(cfg RandomConfig) (*netmodel.Network, error) {
 			targets = append(targets, hosts[i], hosts[j])
 		}
 	}
+	chosen := make([]netmodel.HostID, 0, m)
 	for i := m + 1; i < len(hosts); i++ {
-		chosen := make(map[netmodel.HostID]bool, m)
+		// The picks are linked in draw order, so the network (and the
+		// attachment weights later hosts draw from) is a pure function of
+		// the seed.
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			var pick netmodel.HostID
 			if len(targets) == 0 {
@@ -119,12 +124,12 @@ func scaleFree(cfg RandomConfig) (*netmodel.Network, error) {
 			} else {
 				pick = targets[rng.Intn(len(targets))]
 			}
-			if pick == hosts[i] || chosen[pick] {
+			if pick == hosts[i] || slices.Contains(chosen, pick) {
 				continue
 			}
-			chosen[pick] = true
+			chosen = append(chosen, pick)
 		}
-		for target := range chosen {
+		for _, target := range chosen {
 			if err := n.AddLink(hosts[i], target); err != nil {
 				return nil, err
 			}

@@ -161,12 +161,11 @@ func Exec(ctx context.Context, net *netmodel.Network, sim *vulnsim.SimilarityTab
 		repeats = 1
 	}
 	opts := core.Options{
-		Solver:           solver,
-		MaxIterations:    iters,
-		Seed:             c.Seed,
-		Workers:          c.SolverWorkers,
-		DisableWarmStart: c.DisableWarmStart,
-		DisablePolish:    c.DisablePolish,
+		Solver:        solver,
+		MaxIterations: iters,
+		Seed:          c.Seed,
+		Workers:       c.SolverWorkers,
+		DisablePolish: c.DisablePolish,
 	}
 	if c.Parts > 1 {
 		// The block pool is the cell's parallelism; each block solves with a

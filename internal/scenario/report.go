@@ -22,25 +22,24 @@ const SchemaVersion = 2
 // from, normalised (defaults applied) so two runs of the same suite always
 // record identical metadata.
 type MatrixInfo struct {
-	Topologies       []string `json:"topologies"`
-	Hosts            []int    `json:"hosts"`
-	Degrees          []int    `json:"degrees"`
-	Services         []int    `json:"services"`
-	Products         int      `json:"products_per_service"`
-	Solvers          []string `json:"solvers"`
-	Attacks          []string `json:"attacks"`
-	Churns           []string `json:"churns"`
-	MaxIterations    int      `json:"max_iterations"`
-	Seed             int64    `json:"seed"`
-	TimeoutMS        int64    `json:"timeout_ms,omitempty"`
-	Workers          int      `json:"workers"`
-	SolverWorkers    int      `json:"solver_workers,omitempty"`
-	Parts            int      `json:"parts,omitempty"`
-	DisableWarmStart bool     `json:"disable_warm_start,omitempty"`
-	GraphDirect      bool     `json:"graph_direct,omitempty"`
-	SlamProfiles     []string `json:"slam_profiles,omitempty"`
-	AttackRuns       int      `json:"attack_runs"`
-	Repeats          int      `json:"repeats"`
+	Topologies    []string `json:"topologies"`
+	Hosts         []int    `json:"hosts"`
+	Degrees       []int    `json:"degrees"`
+	Services      []int    `json:"services"`
+	Products      int      `json:"products_per_service"`
+	Solvers       []string `json:"solvers"`
+	Attacks       []string `json:"attacks"`
+	Churns        []string `json:"churns"`
+	MaxIterations int      `json:"max_iterations"`
+	Seed          int64    `json:"seed"`
+	TimeoutMS     int64    `json:"timeout_ms,omitempty"`
+	Workers       int      `json:"workers"`
+	SolverWorkers int      `json:"solver_workers,omitempty"`
+	Parts         int      `json:"parts,omitempty"`
+	GraphDirect   bool     `json:"graph_direct,omitempty"`
+	SlamProfiles  []string `json:"slam_profiles,omitempty"`
+	AttackRuns    int      `json:"attack_runs"`
+	Repeats       int      `json:"repeats"`
 }
 
 // Environment records where a report was produced, for interpreting its
@@ -77,25 +76,24 @@ func NewReport(m Matrix) *Report {
 		Suite:         name,
 		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
 		Matrix: MatrixInfo{
-			Topologies:       m.Topologies,
-			Hosts:            m.Hosts,
-			Degrees:          m.Degrees,
-			Services:         m.Services,
-			Products:         m.ProductsPerService,
-			Solvers:          m.Solvers,
-			Attacks:          m.Attacks,
-			Churns:           m.Churns,
-			MaxIterations:    m.MaxIterations,
-			Seed:             m.Seed,
-			TimeoutMS:        int64(m.Timeout / time.Millisecond),
-			Workers:          m.Workers,
-			SolverWorkers:    m.SolverWorkers,
-			Parts:            m.Parts,
-			DisableWarmStart: m.DisableWarmStart,
-			GraphDirect:      m.GraphDirect,
-			SlamProfiles:     m.SlamProfiles,
-			AttackRuns:       m.AttackRuns,
-			Repeats:          m.Repeats,
+			Topologies:    m.Topologies,
+			Hosts:         m.Hosts,
+			Degrees:       m.Degrees,
+			Services:      m.Services,
+			Products:      m.ProductsPerService,
+			Solvers:       m.Solvers,
+			Attacks:       m.Attacks,
+			Churns:        m.Churns,
+			MaxIterations: m.MaxIterations,
+			Seed:          m.Seed,
+			TimeoutMS:     int64(m.Timeout / time.Millisecond),
+			Workers:       m.Workers,
+			SolverWorkers: m.SolverWorkers,
+			Parts:         m.Parts,
+			GraphDirect:   m.GraphDirect,
+			SlamProfiles:  m.SlamProfiles,
+			AttackRuns:    m.AttackRuns,
+			Repeats:       m.Repeats,
 		},
 		Env: Environment{
 			GoVersion:  runtime.Version(),

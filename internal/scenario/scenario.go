@@ -90,9 +90,6 @@ type Matrix struct {
 	// Parts > 1 routes every cell through the partitioned parallel pipeline
 	// (core.OptimizeParallel) with that many blocks.
 	Parts int
-	// DisableWarmStart measures the solvers cold, without the
-	// greedy-colouring initial labeling.
-	DisableWarmStart bool
 	// SlamProfiles switches on the slam phase and is its load-shape axis:
 	// every cell expands into one closed-loop multi-tenant load run
 	// (internal/slam) per named profile, after the regular phases — p99 under
@@ -189,14 +186,13 @@ type Cell struct {
 	// attack, churn or slam profile share it, so they solve the identical
 	// instance and cross-cell comparisons compare like with like.
 	GraphSeed int64
-	// MaxIterations, Parts, DisableWarmStart, AttackRuns, Repeats and
-	// Timeout are inherited from the matrix.
-	MaxIterations    int
-	Parts            int
-	DisableWarmStart bool
-	AttackRuns       int
-	Repeats          int
-	Timeout          time.Duration
+	// MaxIterations, Parts, AttackRuns, Repeats and Timeout are inherited
+	// from the matrix.
+	MaxIterations int
+	Parts         int
+	AttackRuns    int
+	Repeats       int
+	Timeout       time.Duration
 	// SlamProfile names the slam load shape run after the regular phases
 	// (empty: no slam phase).  The base profile keeps the plain cell ID;
 	// every other profile suffixes it with /slam-<profile>.
@@ -338,7 +334,6 @@ func Expand(m Matrix) ([]Cell, error) {
 										GraphSeed:          cellSeed(m.Seed, instance),
 										MaxIterations:      m.MaxIterations,
 										Parts:              m.Parts,
-										DisableWarmStart:   m.DisableWarmStart,
 										SlamProfile:        profile,
 										AttackRuns:         m.AttackRuns,
 										Repeats:            m.Repeats,

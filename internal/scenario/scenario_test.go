@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"netdiversity/internal/netgen"
 	"netdiversity/internal/netmodel"
 )
 
@@ -163,6 +165,56 @@ func TestBuildNetworkTopologies(t *testing.T) {
 			if !products[string(p)] {
 				t.Errorf("%s: network product %s missing from similarity table", topo, p)
 			}
+		}
+	}
+}
+
+// TestInstancesBuiltTwiceAreIdentical pins that a cell's instance is a pure
+// function of its structural axes and instance seed: every topology family,
+// and the graph-direct MRF, comes out identical when built twice.  A
+// generator that iterates a map fails this with high probability on one run;
+// CI repeats it to make a pass by chance unlikely.
+func TestInstancesBuiltTwiceAreIdentical(t *testing.T) {
+	for _, topo := range Topologies() {
+		cell := Cell{Topology: topo, Hosts: 200, Degree: 8, Services: 3, ProductsPerService: 4, GraphSeed: 42}
+		var specs [2][]byte
+		for i := range specs {
+			net, _, err := BuildNetwork(cell)
+			if err != nil {
+				t.Fatalf("%s: %v", topo, err)
+			}
+			if specs[i], err = json.Marshal(netmodel.ToSpec(net, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(specs[0]) != string(specs[1]) {
+			t.Errorf("%s: two builds of the same cell differ", topo)
+		}
+	}
+
+	cell := Cell{Hosts: 200, Degree: 8, Services: 3, ProductsPerService: 4, GraphSeed: 42}
+	a, err := netgen.UniformGraph(cell.instanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := netgen.UniformGraph(cell.instanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
+		t.Fatalf("graph-direct builds differ in size: %d/%d vs %d/%d nodes/edges",
+			a.NumNodes(), a.NumEdges(), b.NumNodes(), b.NumEdges())
+	}
+	for i := 0; i < a.NumNodes(); i++ {
+		if !slices.Equal(a.UnaryView(i), b.UnaryView(i)) {
+			t.Fatalf("graph-direct builds differ in node %d's unary row", i)
+		}
+	}
+	for e := 0; e < a.NumEdges(); e++ {
+		au, av := a.EdgeEndpoints(e)
+		bu, bv := b.EdgeEndpoints(e)
+		if au != bu || av != bv || !slices.Equal(a.EdgeMat(e).Data, b.EdgeMat(e).Data) {
+			t.Fatalf("graph-direct builds differ at edge %d", e)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package solve_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -66,11 +67,11 @@ func randomGraph(t *testing.T, rng *rand.Rand, nodes, labels int) *mrf.Graph {
 	return g
 }
 
-// solverNames returns the four production solvers, failing loudly if the
+// solverNames returns the production solvers, failing loudly if the
 // registry is missing one (e.g. a lost blank import).
 func solverNames(t *testing.T) []string {
 	t.Helper()
-	want := []string{"anneal", "bp", "icm", "trws"}
+	want := []string{"anneal", "bp", "icm", "multilevel", "trws"}
 	for _, name := range want {
 		if !solve.Registered(name) {
 			t.Fatalf("solver %q not registered; registry has %v", name, solve.Names())
@@ -171,6 +172,128 @@ func TestEverySolverCancellable(t *testing.T) {
 		}
 		if len(sol.Labels) != g.NumNodes() {
 			t.Errorf("%s: cancelled solve should still return a labeling", name)
+		}
+	}
+}
+
+// oracleGraph builds a random MRF with 2-3 labels per node and random
+// non-negative costs: a random tree (every node i > 0 hangs off a random
+// earlier node) plus, unless tree is set, a few chords that close loops.
+func oracleGraph(t *testing.T, rng *rand.Rand, nodes int, tree bool) *mrf.Graph {
+	t.Helper()
+	counts := make([]int, nodes)
+	for i := range counts {
+		counts[i] = 2 + rng.Intn(2)
+	}
+	g, err := mrf.NewGraph(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range counts {
+		for l := 0; l < k; l++ {
+			if err := g.SetUnary(i, l, rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addEdge := func(u, v int) {
+		cost := make([][]float64, counts[u])
+		for a := range cost {
+			cost[a] = make([]float64, counts[v])
+			for b := range cost[a] {
+				cost[a][b] = rng.Float64() * 2
+			}
+		}
+		if _, err := g.AddEdge(u, v, cost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < nodes; i++ {
+		addEdge(rng.Intn(i), i)
+	}
+	if !tree {
+		for c := 0; c < nodes/2; c++ {
+			if u, v := rng.Intn(nodes), rng.Intn(nodes); u != v {
+				addEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+// bruteForce returns the exact minimum energy of g by enumerating every
+// labeling, accumulating each node's unary and its edges to lower-indexed
+// nodes as the enumeration descends.
+func bruteForce(g *mrf.Graph) float64 {
+	n := g.NumNodes()
+	back := make([][]int, n) // edges from node i to a lower-indexed node
+	for e := 0; e < g.NumEdges(); e++ {
+		u, v := g.EdgeEndpoints(e)
+		back[max(u, v)] = append(back[max(u, v)], e)
+	}
+	labels := make([]int, n)
+	best := math.Inf(1)
+	var rec func(i int, partial float64)
+	rec = func(i int, partial float64) {
+		if i == n {
+			best = min(best, partial)
+			return
+		}
+		for l := 0; l < g.NumLabels(i); l++ {
+			labels[i] = l
+			cost := partial + g.UnaryView(i)[l]
+			for _, e := range back[i] {
+				u, v := g.EdgeEndpoints(e)
+				cost += g.EdgeMat(e).At(labels[u], labels[v])
+			}
+			rec(i+1, cost)
+		}
+	}
+	rec(0, 0)
+	return best
+}
+
+// TestEverySolverAgainstExactOracle runs every production solver cold and
+// warm (random initial labels and dirty mask) on random MRFs of at most 10
+// variables and compares it with brute force: no solver may report an energy
+// below the optimum or one its labels do not evaluate to, and the
+// message-passing solvers (trws, bp, and multilevel, which hands a graph this
+// small to trws) must be exact on trees.
+func TestEverySolverAgainstExactOracle(t *testing.T) {
+	names := solverNames(t)
+	exactOnTrees := map[string]bool{"bp": true, "multilevel": true, "trws": true}
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 80; trial++ {
+		tree := trial%2 == 0
+		g := oracleGraph(t, rng, 6+rng.Intn(5), tree)
+		opt := bruteForce(g)
+		initial := make([]int, g.NumNodes())
+		dirty := make([]bool, g.NumNodes())
+		for i := range initial {
+			initial[i] = rng.Intn(g.NumLabels(i))
+			dirty[i] = rng.Intn(2) == 0
+		}
+		for _, name := range names {
+			for _, warm := range []bool{false, true} {
+				opts := solve.Options{MaxIterations: 50, Seed: int64(trial)}
+				if warm {
+					opts.InitialLabels = append([]int(nil), initial...)
+					opts.DirtyMask = append([]bool(nil), dirty...)
+				}
+				sol, err := solve.Solve(context.Background(), name, g, opts)
+				if err != nil {
+					t.Fatalf("trial %d %s warm=%v: %v", trial, name, warm, err)
+				}
+				if got := g.MustEnergy(sol.Labels); got != sol.Energy {
+					t.Errorf("trial %d %s warm=%v: reported energy %v, labels evaluate to %v", trial, name, warm, sol.Energy, got)
+				}
+				if sol.Energy < opt-1e-9 {
+					t.Errorf("trial %d %s warm=%v: energy %v below the exact optimum %v", trial, name, warm, sol.Energy, opt)
+				}
+				if tree && !warm && exactOnTrees[name] && sol.Energy > opt+1e-9 {
+					t.Errorf("trial %d %s: energy %v on a tree, exact optimum %v", trial, name, sol.Energy, opt)
+				}
+			}
 		}
 	}
 }

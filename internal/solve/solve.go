@@ -1,11 +1,11 @@
 // Package solve defines the unified solver layer for the MRF minimisation
 // problem: a Kernel interface that each algorithm (TRW-S, loopy BP, ICM,
-// simulated annealing) implements with just its message/update rule, a shared
-// driver that owns everything the seed solvers used to duplicate —
-// best-labeling tracking, tolerance/patience convergence, energy history and
-// context cancellation — and a registry mapping solver names to kernel
-// factories so that orchestration layers (core.Optimizer, the cmd tools) can
-// run any solver uniformly.
+// simulated annealing) implements with just its message/update rule and the
+// constants of its own schedule, a shared driver that owns everything the
+// seed solvers used to duplicate — best-labeling tracking, patience
+// convergence, energy history and context cancellation — and a registry
+// mapping solver names to kernel factories so that orchestration layers
+// (core.Optimizer, the cmd tools) can run any solver uniformly.
 package solve
 
 import (
@@ -20,6 +20,11 @@ import (
 // packages alias this error so errors.Is works across the wrappers.
 var ErrNilGraph = errors.New("solve: nil graph")
 
+// Tolerance is the minimum energy improvement that counts as progress for
+// the driver's patience rule; multilevel's refinement frontier uses it as the
+// slack of a local best response.
+const Tolerance = 1e-6
+
 // Options is the unified solver configuration.  Individual kernels consume
 // the subset that applies to them and may override defaults through the
 // Defaults hook.
@@ -28,14 +33,11 @@ type Options struct {
 	// the local-search solvers, full passes for the message-passing ones).
 	// Default 100.
 	MaxIterations int
-	// Tolerance is the minimum energy improvement that counts as progress
-	// for the driver's patience logic; message-passing kernels also use it
-	// for their own fixed-point test.  Default 1e-6.
-	Tolerance float64
 	// Patience is the number of non-improving iterations tolerated before
 	// the driver declares convergence.  Default 5.  Kernels that manage
 	// their own stopping rule (BP message deltas, ICM local optima) disable
-	// it by defaulting it to MaxIterations.
+	// it by raising it to their whole step budget, which also lifts the
+	// driver's hard step cap to that budget.
 	Patience int
 	// Workers sets the number of goroutines a kernel may use for one step.
 	// Values <= 1 run serially.  Kernels must stay deterministic for any
@@ -43,15 +45,6 @@ type Options struct {
 	Workers int
 	// Seed drives randomised kernels (restarts, annealing).
 	Seed int64
-	// Damping in [0,1) mixes new messages with previous ones (BP).
-	Damping float64
-	// Restarts re-runs local search from random initialisations (ICM/anneal).
-	Restarts int
-	// Annealing enables the simulated-annealing acceptance rule (ICM).
-	Annealing bool
-	// InitialTemperature and Cooling control the annealing schedule.
-	InitialTemperature float64
-	Cooling            float64
 	// InitialLabels optionally warm-starts the solver: the driver seeds its
 	// best labeling with it and local-search kernels descend from it.
 	InitialLabels []int
@@ -78,23 +71,11 @@ func (o Options) WithDefaults() Options {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 100
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
-	}
 	if o.Patience <= 0 {
 		o.Patience = 5
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
-	if o.InitialTemperature <= 0 {
-		o.InitialTemperature = 1.0
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = 0.92
 	}
 	return o
 }
@@ -105,7 +86,8 @@ type Step struct {
 	// it and keeps the best seen.  A nil Labels skips scoring.
 	Labels []int
 	// FixedPoint signals the kernel's own convergence criterion (message
-	// deltas below tolerance, a sweep with no changes on the last restart).
+	// deltas below the kernel's tolerance, a sweep with no changes on the
+	// last restart).
 	// The driver stops and marks the solution converged.
 	FixedPoint bool
 	// NewPhase signals a phase boundary (e.g. a fresh random restart); the
@@ -138,7 +120,8 @@ type Kernel interface {
 
 // OptionDefaulter lets a kernel adjust the unified defaults before the
 // driver applies them (e.g. BP disables energy patience because its stopping
-// rule is the message fixed point; ICM bounds sweeps per restart).
+// rule is the message fixed point; ICM bounds sweeps per restart and raises
+// patience to its restarts' whole budget).
 type OptionDefaulter interface {
 	Defaults(opts Options) Options
 }
@@ -156,7 +139,7 @@ type WarmKernel interface {
 }
 
 // Run drives a kernel to completion: it owns validation, warm starts,
-// best-labeling tracking, the tolerance/patience convergence rule, the
+// best-labeling tracking, the patience convergence rule, the
 // energy history and context cancellation.  On cancellation, or when the
 // kernel reports an internal failure through an optional Err() error method,
 // it returns the best solution found so far together with the error.
@@ -218,8 +201,9 @@ func Run(ctx context.Context, g *mrf.Graph, opts Options, k Kernel) (mrf.Solutio
 	iterations := 0
 	converged := false
 	// Hard cap: kernels signal Exhausted themselves; this only guards
-	// against a kernel that never does.
-	maxSteps := opts.MaxIterations * opts.Restarts
+	// against a kernel that never does.  A multi-phase kernel declares its
+	// whole budget through Patience (see OptionDefaulter).
+	maxSteps := max(opts.MaxIterations, opts.Patience)
 
 	for iterations < maxSteps {
 		if err := ctx.Err(); err != nil {
@@ -234,7 +218,7 @@ func Run(ctx context.Context, g *mrf.Graph, opts Options, k Kernel) (mrf.Solutio
 		iterations++
 		if st.Labels != nil {
 			e := g.MustEnergy(st.Labels)
-			if e < kernelBest-opts.Tolerance {
+			if e < kernelBest-Tolerance {
 				kernelBest = e
 				noImprove = 0
 			} else {
