@@ -13,7 +13,7 @@ import (
 // benchConfig is the quick experiment profile used by every per-table
 // benchmark; run `div tables -full` for the paper-sized sweeps.
 func benchConfig() experiments.Config {
-	return experiments.Config{Seed: 42, Workers: 1}
+	return experiments.Config{Seed: 42}
 }
 
 // benchmarkExperiment runs one experiment once per benchmark iteration.

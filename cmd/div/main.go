@@ -52,13 +52,13 @@ type command struct {
 }
 
 var commands = map[string]command{
-	"opt": {"in case-study scenario solver iterations seed workers",
-		common{scenario: "none", solver: "trws", iterations: 100, seed: 1, workers: 1}, optCmd},
-	"sim": {"in case-study scenario solver seed workers entry target runs",
-		common{scenario: "none", solver: "trws", seed: 1, workers: 1, entry: "c4", target: "t5", runs: 1000}, simCmd},
-	"report": {"in case-study seed workers entry target runs",
-		common{scenario: "host-constraints", seed: 1, workers: 1, entry: "c4", target: "t5", runs: 300}, reportCmd},
-	"tables":   {"seed workers", common{seed: 42, workers: 1}, tablesCmd},
+	"opt": {"in case-study scenario solver iterations seed",
+		common{scenario: "none", solver: "trws", iterations: 100, seed: 1}, optCmd},
+	"sim": {"in case-study scenario solver seed entry target runs",
+		common{scenario: "none", solver: "trws", seed: 1, entry: "c4", target: "t5", runs: 1000}, simCmd},
+	"report": {"in case-study seed entry target runs",
+		common{scenario: "host-constraints", seed: 1, entry: "c4", target: "t5", runs: 300}, reportCmd},
+	"tables":   {"seed", common{seed: 42}, tablesCmd},
 	"simtable": {"", common{}, simtableCmd},
 }
 
@@ -121,8 +121,6 @@ func (c *common) register(fs *flag.FlagSet, names string) {
 			fs.IntVar(&c.iterations, name, c.iterations, "maximum solver iterations")
 		case "seed":
 			fs.Int64Var(&c.seed, name, c.seed, "random seed")
-		case "workers":
-			fs.IntVar(&c.workers, name, c.workers, "worker goroutines for parallel solver stages and the partitioned block pool")
 		case "entry":
 			fs.StringVar(&c.entry, name, c.entry, "attacker entry host")
 		case "target":
@@ -180,7 +178,8 @@ func (c *common) load() (*netmodel.Network, *netmodel.ConstraintSet, *vulnsim.Si
 }
 
 // optimizer returns an optimiser for the loaded problem under cs (nil:
-// unconstrained) with the -solver, -iterations, -workers and -seed flags.
+// unconstrained) with the -solver, -iterations, -seed and (opt's) -workers
+// flags.
 func (c *common) optimizer(net *netmodel.Network, sim *vulnsim.SimilarityTable, cs *netmodel.ConstraintSet) (*core.Optimizer, error) {
 	solver, err := core.ParseSolver(c.solver)
 	if err != nil {

@@ -19,6 +19,7 @@ func optCmd(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	outPath := fs.String("out", "", "write the assignment as JSON to this file")
 	dotPath := fs.String("dot", "", "write a Graphviz rendering of the network with the assignment to this file")
 	parallel := fs.Int("parallel", 1, "partition the network into this many blocks and optimise them concurrently (<=1 runs sequentially)")
+	fs.IntVar(&c.workers, "workers", 1, "blocks -parallel solves at once")
 	return func(out io.Writer) error {
 		net, cs, sim, err := c.load()
 		if err != nil {

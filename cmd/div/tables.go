@@ -35,7 +35,7 @@ func tablesCmd(fs *flag.FlagSet, c *common) func(io.Writer) error {
 		if len(ids) == 0 {
 			return fmt.Errorf("no experiments selected")
 		}
-		cfg := experiments.Config{Full: *full, Seed: c.seed, Workers: c.workers}
+		cfg := experiments.Config{Full: *full, Seed: c.seed}
 		for _, id := range ids {
 			table, err := experiments.Run(id, cfg)
 			if err != nil {

@@ -28,7 +28,6 @@ func run() error {
 		maxHosts = flag.Int("hosts", 800, "largest network size to optimise")
 		degree   = flag.Int("degree", 10, "average degree of the random networks")
 		services = flag.Int("services", 5, "services per host")
-		workers  = flag.Int("workers", 2, "worker goroutines for the solver")
 	)
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func run() error {
 		sim := netdiversity.SyntheticSimilarity(cfg, 0.6)
 
 		opt, err := netdiversity.NewOptimizer(net, sim, netdiversity.OptimizerOptions{
-			Workers:       *workers,
 			MaxIterations: 30,
 		})
 		if err != nil {

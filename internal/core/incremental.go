@@ -457,7 +457,6 @@ func (o *Optimizer) Reoptimize(ctx context.Context) (ReoptimizeResult, error) {
 	sol, err := solve.Run(ctx, p.graph, solve.Options{
 		MaxIterations: iters,
 		Patience:      reoptimizePatience,
-		Workers:       o.opts.Workers,
 		Seed:          o.opts.Seed,
 		InitialLabels: warm,
 		DirtyMask:     mask,

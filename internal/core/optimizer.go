@@ -60,8 +60,9 @@ type Options struct {
 	// MaxIterations bounds the solver iterations.  Default 100 (50 for the
 	// local-search solvers).
 	MaxIterations int
-	// Workers is the number of goroutines used by parallelisable solver
-	// stages.  Default 1.
+	// Workers is how many independent subproblems run at once: the blocks
+	// OptimizeParallel solves concurrently.  A single solve is always
+	// serial.  Default 1.
 	Workers int
 	// Seed drives the randomised solvers (ICM restarts, annealing).
 	Seed int64
@@ -273,7 +274,6 @@ func (o *Optimizer) warmStart(prob *problem) []int {
 func (o *Optimizer) solve(ctx context.Context, g *mrf.Graph, initial []int, dirty []bool) (mrf.Solution, error) {
 	return solve.Solve(ctx, string(o.opts.Solver), g, solve.Options{
 		MaxIterations: o.opts.MaxIterations,
-		Workers:       o.opts.Workers,
 		Seed:          o.opts.Seed,
 		InitialLabels: initial,
 		DirtyMask:     dirty,

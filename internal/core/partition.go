@@ -168,11 +168,7 @@ func (o *Optimizer) solveBlock(ctx context.Context, block []netmodel.HostID) (*n
 	if err != nil {
 		return nil, err
 	}
-	// The pool already provides the parallelism; intra-solver fan-out inside
-	// every block would oversubscribe the machine quadratically.
-	subOpts := o.opts
-	subOpts.Workers = 1
-	subOpt, err := NewOptimizer(sub, o.sim, subOpts)
+	subOpt, err := NewOptimizer(sub, o.sim, o.opts)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,6 @@ func Ablation(cfg Config) (*Table, error) {
 			Solver:        r.solver,
 			MaxIterations: 40,
 			Seed:          cfg.Seed,
-			SolverWorkers: cfg.Workers,
 			DisablePolish: !r.polish,
 		})
 		if err != nil {

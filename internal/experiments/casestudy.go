@@ -40,7 +40,7 @@ func BuildCaseStudy(cfg Config) (*CaseStudyAssignments, error) {
 	sim := casestudy.Similarity()
 
 	optimize := func(cs *netmodel.ConstraintSet) (*netmodel.Assignment, error) {
-		opt, err := core.NewOptimizer(net, sim, core.Options{Workers: cfg.Workers, Seed: cfg.Seed})
+		opt, err := core.NewOptimizer(net, sim, core.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func BuildCaseStudy(cfg Config) (*CaseStudyAssignments, error) {
 		return nil, err
 	}
 
-	evalOpt, err := core.NewOptimizer(net, sim, core.Options{Workers: cfg.Workers})
+	evalOpt, err := core.NewOptimizer(net, sim, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func CostTable(cfg Config) (*Table, error) {
 	weights := []float64{0, 0.02, 0.05, 0.1, 0.25, 1}
 	var prevCost float64
 	for i, w := range weights {
-		opt, err := core.NewOptimizer(net, sim, core.Options{Workers: cfg.Workers, Seed: cfg.Seed})
+		opt, err := core.NewOptimizer(net, sim, core.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

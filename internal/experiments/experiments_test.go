@@ -8,7 +8,7 @@ import (
 )
 
 func quickConfig() Config {
-	return Config{Seed: 42, Workers: 1}
+	return Config{Seed: 42}
 }
 
 // cell parses a table cell as a float, stripping any bracketed suffix.

@@ -105,7 +105,6 @@ func Figure2(cfg Config) (*Table, error) {
 		Solver:        "trws",
 		MaxIterations: 50,
 		Seed:          cfg.Seed,
-		SolverWorkers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

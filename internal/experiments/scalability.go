@@ -26,10 +26,8 @@ func scalabilityMatrix(cfg Config, name string, hosts, degrees, services []int) 
 		Attacks:       []string{"none"},
 		MaxIterations: iters,
 		Seed:          cfg.Seed,
-		// Cells run serially (pool of 1) so the per-cell wall-clock stays
-		// contention-free; cfg.Workers parallelises inside the solver, as it
-		// did before the scenario refactor.
-		SolverWorkers: cfg.Workers,
+		// Workers is left at its default pool of 1: cells run serially so
+		// the per-cell wall-clock stays contention-free.
 	}
 }
 

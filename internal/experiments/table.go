@@ -87,16 +87,11 @@ type Config struct {
 	Full bool
 	// Seed drives every randomised component.
 	Seed int64
-	// Workers is passed to the parallelisable solver stages.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	return c
 }

@@ -35,7 +35,6 @@ func TopologyTable(cfg Config) (*Table, error) {
 		Attacks:       []string{"none"},
 		MaxIterations: 25,
 		Seed:          cfg.Seed,
-		SolverWorkers: cfg.Workers,
 	}
 	cells, err := scenario.Expand(m)
 	if err != nil {

@@ -221,7 +221,6 @@ func (k *Kernel) Step() solve.Step {
 		}
 		sol, err := solve.Run(context.Background(), k.h.Coarsest(), solve.Options{
 			MaxIterations: k.opts.MaxIterations,
-			Workers:       k.opts.Workers,
 			Seed:          k.opts.Seed,
 			Checkpoint:    k.opts.Checkpoint,
 		}, kern)
@@ -302,7 +301,6 @@ func (k *Kernel) refineDown() error {
 	}
 	sol, err := solve.Run(context.Background(), fine, solve.Options{
 		MaxIterations: DefaultRefineIterations,
-		Workers:       k.opts.Workers,
 		Seed:          k.opts.Seed,
 		InitialLabels: projected,
 		DirtyMask:     dirty,

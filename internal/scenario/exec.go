@@ -164,13 +164,8 @@ func Exec(ctx context.Context, net *netmodel.Network, sim *vulnsim.SimilarityTab
 		Solver:        solver,
 		MaxIterations: iters,
 		Seed:          c.Seed,
-		Workers:       c.SolverWorkers,
+		Workers:       c.Parts, // the block pool solves every block at once
 		DisablePolish: c.DisablePolish,
-	}
-	if c.Parts > 1 {
-		// The block pool is the cell's parallelism; each block solves with a
-		// single worker.
-		opts.Workers = c.Parts
 	}
 
 	var (

@@ -34,7 +34,6 @@ type MatrixInfo struct {
 	Seed          int64    `json:"seed"`
 	TimeoutMS     int64    `json:"timeout_ms,omitempty"`
 	Workers       int      `json:"workers"`
-	SolverWorkers int      `json:"solver_workers,omitempty"`
 	Parts         int      `json:"parts,omitempty"`
 	GraphDirect   bool     `json:"graph_direct,omitempty"`
 	SlamProfiles  []string `json:"slam_profiles,omitempty"`
@@ -88,7 +87,6 @@ func NewReport(m Matrix) *Report {
 			Seed:          m.Seed,
 			TimeoutMS:     int64(m.Timeout / time.Millisecond),
 			Workers:       m.Workers,
-			SolverWorkers: m.SolverWorkers,
 			Parts:         m.Parts,
 			GraphDirect:   m.GraphDirect,
 			SlamProfiles:  m.SlamProfiles,

@@ -53,7 +53,6 @@ func execGraphCell(ctx context.Context, c Cell) (Measurement, error) {
 	opts := solve.Options{
 		MaxIterations: iters,
 		Seed:          c.Seed,
-		Workers:       c.SolverWorkers,
 		// The multilevel kernel hands Checkpoint down to its inner per-level
 		// solves, so the cell deadline cuts into a long solve at iteration
 		// granularity instead of only between hierarchy phases.

@@ -83,10 +83,6 @@ type Matrix struct {
 	// Default 1 (cells run serially, which keeps the allocation and
 	// wall-clock measurements precise).
 	Workers int
-	// SolverWorkers is the intra-cell parallelism handed to the solver
-	// kernels (core.Options.Workers).  Default 1; ignored when Parts > 1,
-	// where the block pool provides the cell's parallelism.
-	SolverWorkers int
 	// Parts > 1 routes every cell through the partitioned parallel pipeline
 	// (core.OptimizeParallel) with that many blocks.
 	Parts int
@@ -201,9 +197,6 @@ type Cell struct {
 	// matrix axis, but callers building cells directly (the solver ablation,
 	// the convergence trace) use it to measure the raw decoding.
 	DisablePolish bool
-	// SolverWorkers is the intra-cell solver parallelism (ignored when
-	// Parts > 1).
-	SolverWorkers int
 	// GraphDirect runs the cell on a streamed MRF (netgen.UniformGraph)
 	// without a netmodel.Network: no assignment decode, no attack, churn or
 	// slam phase (inherited from Matrix.GraphDirect).
@@ -338,7 +331,6 @@ func Expand(m Matrix) ([]Cell, error) {
 										AttackRuns:         m.AttackRuns,
 										Repeats:            m.Repeats,
 										Timeout:            m.Timeout,
-										SolverWorkers:      m.SolverWorkers,
 										GraphDirect:        m.GraphDirect,
 									})
 								}

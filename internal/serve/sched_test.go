@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -52,6 +53,21 @@ func runSmallFleet(t *testing.T, s *scheduler, n int) []time.Duration {
 	}
 	wg.Wait()
 	return latencies
+}
+
+// waitFor spins until cond, evaluated under the scheduler's lock, holds: the
+// tests order their goroutines by what the scheduler has seen, never by
+// sleeping and hoping.
+func waitFor(s *scheduler, cond func() bool) {
+	for {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 func p99(latencies []time.Duration) time.Duration {
@@ -118,9 +134,9 @@ func TestSchedulerPrefersCheapJobs(t *testing.T) {
 		}()
 	}
 	launch("big", 100000)
-	time.Sleep(20 * time.Millisecond) // big queues first and starts aging
+	waitFor(s, func() bool { return len(s.pending) == 1 }) // big queues first and starts aging
 	launch("small", 1000)
-	time.Sleep(20 * time.Millisecond) // both queued before the slot frees
+	waitFor(s, func() bool { return len(s.pending) == 2 }) // both queued before the slot frees
 	hold.release()
 	wg.Wait()
 	if first := <-order; first != "small" {
@@ -138,7 +154,15 @@ func TestSchedulerAgingPreventsStarvation(t *testing.T) {
 		defer close(bigDone)
 		simulateJob(t, s, 50000, 1, time.Millisecond)
 	}()
-	time.Sleep(5 * time.Millisecond) // big job holds the slot
+	// The big job holds the slot (or has already run and released it).
+	waitFor(s, func() bool {
+		select {
+		case <-bigDone:
+			return true
+		default:
+			return s.free == 0
+		}
+	})
 	// Cheap jobs keep arriving for far longer than the big job needs.
 	deadline := time.After(5 * time.Second)
 	for {
@@ -176,15 +200,7 @@ func TestSchedulerCheckpointYields(t *testing.T) {
 
 	// Wait until the small job is queued, then checkpoint: the big job must
 	// yield, the small job runs, and checkpoint returns after the re-grant.
-	for {
-		s.mu.Lock()
-		queued := len(s.pending) > 0
-		s.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(s, func() bool { return len(s.pending) > 0 })
 	if err := big.checkpoint(context.Background()); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}

@@ -39,10 +39,6 @@ type Options struct {
 	// it by raising it to their whole step budget, which also lifts the
 	// driver's hard step cap to that budget.
 	Patience int
-	// Workers sets the number of goroutines a kernel may use for one step.
-	// Values <= 1 run serially.  Kernels must stay deterministic for any
-	// worker count.
-	Workers int
 	// Seed drives randomised kernels (restarts, annealing).
 	Seed int64
 	// InitialLabels optionally warm-starts the solver: the driver seeds its
@@ -74,9 +70,6 @@ func (o Options) WithDefaults() Options {
 	if o.Patience <= 0 {
 		o.Patience = 5
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 	return o
 }
 
@@ -102,7 +95,7 @@ type Step struct {
 // Kernel is the pure algorithmic core of one MRF solver.  Init is called
 // once per solve, single-threaded, and must touch any lazily-built graph
 // caches it will read during Step (incident lists, transposed matrices) so
-// that Step may fan out across goroutines safely.
+// that Step only reads the graph.
 //
 // Init is re-callable: a kernel value may be handed to Run again — for the
 // same graph after it was patched, for a graph of another size, after a solve

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"netdiversity/internal/mrf"
 	"netdiversity/internal/solve"
@@ -57,7 +56,7 @@ type Kernel struct {
 }
 
 // Init builds the flat workspace and touches the graph's lazy caches
-// (incidence CSR, transposed matrices) so Step can fan out safely.  On a
+// (incidence CSR, transposed matrices) so Step only reads them.  On a
 // retained kernel value (see solve.Kernel) it resets all solver state, keeps
 // what depends only on the topology while the topology is unchanged, and
 // refills the previous solve's arenas in place otherwise.
@@ -282,7 +281,6 @@ func (k *Kernel) updateMessage(node int, he solve.HalfEdge, agg []float64) {
 
 func (k *Kernel) pass(forward bool) {
 	agg := k.aggBuf
-	var targets []solve.HalfEdge
 	for idx := 0; idx < k.n; idx++ {
 		node := idx
 		if !forward {
@@ -292,53 +290,15 @@ func (k *Kernel) pass(forward bool) {
 			continue
 		}
 		k.aggregate(node, agg)
-		targets = targets[:0]
 		for _, he := range k.incident(node) {
 			if k.warm && !k.active[he.Other] {
 				continue // frozen boundary: it reads conditioning rows, not messages
 			}
 			if (forward && int(he.Other) > node) || (!forward && int(he.Other) < node) {
-				targets = append(targets, he)
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		if k.opts.Workers > 1 && len(targets) > 1 {
-			k.updateParallel(node, targets, agg)
-			continue
-		}
-		for _, he := range targets {
-			k.updateMessage(node, he, agg)
-		}
-	}
-}
-
-func (k *Kernel) updateParallel(node int, targets []solve.HalfEdge, agg []float64) {
-	workers := k.opts.Workers
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(targets) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(targets) {
-			hi = len(targets)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(part []solve.HalfEdge) {
-			defer wg.Done()
-			for _, he := range part {
 				k.updateMessage(node, he, agg)
 			}
-		}(targets[lo:hi])
+		}
 	}
-	wg.Wait()
 }
 
 // decode extracts a primal labeling: nodes are visited in order and each

@@ -215,22 +215,6 @@ func TestSolveNearOptimalOnSmallLoopyGraphs(t *testing.T) {
 	}
 }
 
-func TestSolveWorkersMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := randomGraph(t, rng, 12, 4)
-	serial, err := run(g, solve.Options{MaxIterations: 20, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := run(g, solve.Options{MaxIterations: 20, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(serial.Energy-parallel.Energy) > 1e-9 {
-		t.Errorf("parallel sweep changed the result: %v vs %v", serial.Energy, parallel.Energy)
-	}
-}
-
 func TestSolveContextCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(t, rng, 10, 3)
